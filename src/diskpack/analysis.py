@@ -9,7 +9,7 @@ evidence (a first-order Jacobian rank computation), never a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -34,13 +34,15 @@ class DiskSet:
     """An ordered collection of disks with unique ids."""
 
     disks: tuple[Disk, ...]
+    _index: dict[str, Disk] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        index = {}
         for d in self.disks:
-            if d.id in seen:
+            if d.id in index:
                 raise InvalidInputError(f"duplicate disk id {d.id!r}")
-            seen.add(d.id)
+            index[d.id] = d
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.disks)
@@ -53,20 +55,66 @@ class DiskSet:
         return tuple(d.id for d in self.disks)
 
     def by_id(self, disk_id: str) -> Disk:
-        for d in self.disks:
-            if d.id == disk_id:
-                return d
-        raise InvalidInputError(f"no disk with id {disk_id!r}")
+        try:
+            return self._index[disk_id]
+        except KeyError:
+            raise InvalidInputError(f"no disk with id {disk_id!r}") from None
 
 
-def _check_no_containment(ds: DiskSet, tol: float) -> None:
-    disks = ds.disks
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            if pair_relation(disks[i], disks[j], tol).kind is PairKind.CONTAINED:
-                raise InvalidConfigurationError(
-                    f"disk {disks[i].id!r} and disk {disks[j].id!r} are nested; not a configuration"
-                )
+# Relative widening of the candidate boxes and grid cells.  It only adds
+# candidates, and it dwarfs the roundoff in the cell arithmetic, so a pair that
+# pair_relation would not call disjoint is never dropped.
+_SLACK = 1e-6
+# Cells per axis at most, which keeps that roundoff small however far apart
+# the disks lie.
+_MAX_CELLS = 1 << 20
+
+
+def _candidate_pairs(disks: Sequence[Disk], tol: float) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, in sorted order, whose bounding boxes
+    inflated by tol overlap.
+
+    A pair that is not disjoint at tol has center distance at most
+    r_i + r_j + tol, so |dx| and |dy| are within that too and the pair is
+    returned.  The search is a uniform grid with cells wider than the largest
+    diameter plus tol: such a pair sits in the same or in neighbouring cells,
+    and each cell is compared only with itself and four of its neighbours.
+    When a cell holds O(1) disks, as in a packing with a bounded ratio of
+    radii, the work is near-linear.  Only pairs are filtered here;
+    pair_relation decides kinds.
+    """
+    n = len(disks)
+    if n < 2:
+        return []
+    if not tol >= 0:
+        raise InvalidInputError(f"tol must be >= 0, got {tol!r}")
+    xs = [d.cx for d in disks]
+    ys = [d.cy for d in disks]
+    rs = [d.r for d in disks]
+    x0, y0 = min(xs), min(ys)
+    span = max(max(xs) - x0, max(ys) - y0)
+    grow = 1.0 + _SLACK
+    side = max(2.0 * max(rs) + tol, span / _MAX_CELLS) * grow
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i in range(n):
+        cells.setdefault((math.floor((xs[i] - x0) / side), math.floor((ys[i] - y0) / side)), []).append(i)
+    pairs = []
+    for (cx, cy), members in cells.items():
+        # The same cell, then the cells above, right-below, right and right-above.
+        for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+            for j in cells.get((cx + dx, cy + dy), ()):
+                for i in members:
+                    if dx == dy == 0 and i >= j:
+                        break
+                    reach = (rs[i] + rs[j] + tol) * grow
+                    if abs(xs[i] - xs[j]) <= reach and abs(ys[i] - ys[j]) <= reach:
+                        pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
+
+
+def _nested(a: Disk, b: Disk) -> InvalidConfigurationError:
+    return InvalidConfigurationError(f"disk {a.id!r} and disk {b.id!r} are nested; not a configuration")
 
 
 def extract_contact_graph(ds: DiskSet, tol: float = 1e-9) -> LabeledContactGraph:
@@ -79,17 +127,14 @@ def extract_contact_graph(ds: DiskSet, tol: float = 1e-9) -> LabeledContactGraph
     disks = ds.disks
     edges = []
     labels = {}
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            rel = pair_relation(disks[i], disks[j], tol)
-            if rel.kind is PairKind.CONTAINED:
-                raise InvalidConfigurationError(
-                    f"disk {disks[i].id!r} and disk {disks[j].id!r} are nested; not a configuration"
-                )
-            if rel.kind in (PairKind.TANGENT, PairKind.OVERLAPPING):
-                k = edge_key(disks[i].id, disks[j].id)
-                edges.append(k)
-                labels[k] = rel.angle if rel.kind is PairKind.OVERLAPPING else 0.0
+    for i, j in _candidate_pairs(disks, tol):
+        rel = pair_relation(disks[i], disks[j], tol)
+        if rel.kind is PairKind.CONTAINED:
+            raise _nested(disks[i], disks[j])
+        if rel.kind in (PairKind.TANGENT, PairKind.OVERLAPPING):
+            k = edge_key(disks[i].id, disks[j].id)
+            edges.append(k)
+            labels[k] = rel.angle if rel.kind is PairKind.OVERLAPPING else 0.0
     edges.sort()
     return LabeledContactGraph(Graph(ds.ids, tuple(edges)), labels)
 
@@ -124,28 +169,31 @@ def verify_realization(ds: DiskSet, lg: LabeledContactGraph, tol: float = 1e-9) 
         raise InvalidInputError("disk ids and graph vertices must coincide")
     keys = lg.graph.edge_keys()
     disks = sorted(ds.disks, key=lambda d: d.id)
+    # Labeled pairs are checked even when their disks lie far apart.
+    index = {d.id: i for i, d in enumerate(disks)}
+    pairs = set(_candidate_pairs(disks, tol))
+    pairs.update((index[u], index[v]) for u, v in keys if u != v)
     defects = []
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            a, b = disks[i], disks[j]
-            k = edge_key(a.id, b.id)
-            rel = pair_relation(a, b, tol)
-            if rel.kind is PairKind.CONTAINED:
-                defects.append(Defect("nested-pair", k, f"center distance {rel.distance!r}"))
-            elif k in keys:
-                want = lg.labels[k]
-                if rel.angle is None:
-                    defects.append(
-                        Defect("angle-mismatch", k, f"edge labeled {want!r} rad but the disks do not meet")
-                    )
-                elif abs(rel.angle - want) > tol:
-                    defects.append(
-                        Defect("angle-mismatch", k, f"labeled {want!r} rad, realized {rel.angle!r} rad")
-                    )
-            elif rel.kind in (PairKind.TANGENT, PairKind.OVERLAPPING):
+    for i, j in sorted(pairs):
+        a, b = disks[i], disks[j]
+        k = edge_key(a.id, b.id)
+        rel = pair_relation(a, b, tol)
+        if rel.kind is PairKind.CONTAINED:
+            defects.append(Defect("nested-pair", k, f"center distance {rel.distance!r}"))
+        elif k in keys:
+            want = lg.labels[k]
+            if rel.angle is None:
                 defects.append(
-                    Defect("spurious-contact", k, f"unlabeled pair meets ({rel.kind.value}, distance {rel.distance!r})")
+                    Defect("angle-mismatch", k, f"edge labeled {want!r} rad but the disks do not meet")
                 )
+            elif abs(rel.angle - want) > tol:
+                defects.append(
+                    Defect("angle-mismatch", k, f"labeled {want!r} rad, realized {rel.angle!r} rad")
+                )
+        elif rel.kind in (PairKind.TANGENT, PairKind.OVERLAPPING):
+            defects.append(
+                Defect("spurious-contact", k, f"unlabeled pair meets ({rel.kind.value}, distance {rel.distance!r})")
+            )
     return RealizationReport(not defects, tuple(defects))
 
 
@@ -164,25 +212,23 @@ class ThinnessReport:
 def is_thin(ds: DiskSet, tol: float = 1e-9) -> ThinnessReport:
     """Decide whether no three disks share a common point.
 
-    Only triples whose pairs all meet can share a point, so those are the
-    only ones probed.  Violations come back with a witness point.
+    Only triples whose pairs all meet can share a point, so only the
+    triangles of the contact graph are probed.  Violations come back with a
+    witness point.  A nested pair raises InvalidConfigurationError.
     """
-    _check_no_containment(ds, tol)
     disks = ds.disks
-    n = len(disks)
-    meets = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            kind = pair_relation(disks[i], disks[j], tol).kind
-            meets[i][j] = kind in (PairKind.TANGENT, PairKind.OVERLAPPING)
+    # later[i]: the disks after i in ds that meet disk i.
+    later = [set() for _ in disks]
+    for i, j in _candidate_pairs(disks, tol):
+        kind = pair_relation(disks[i], disks[j], tol).kind
+        if kind is PairKind.CONTAINED:
+            raise _nested(disks[i], disks[j])
+        if kind is not PairKind.DISJOINT:
+            later[i].add(j)
     violations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not meets[i][j]:
-                continue
-            for k in range(j + 1, n):
-                if not (meets[i][k] and meets[j][k]):
-                    continue
+    for i, above in enumerate(later):
+        for j in sorted(above):
+            for k in sorted(above & later[j]):
                 hit, witness = triple_intersects(disks[i], disks[j], disks[k], tol)
                 if hit:
                     violations.append(

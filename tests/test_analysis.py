@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     hex_penny_patch,
@@ -24,6 +26,7 @@ from diskpack import (
     InvalidConfigurationError,
     InvalidInputError,
     LabeledContactGraph,
+    PairKind,
     SimilarityTransform,
     are_similar,
     edge_key,
@@ -31,11 +34,15 @@ from diskpack import (
     is_thin,
     normalize,
     pack,
+    pair_relation,
     rigidity_index,
     rigidity_jacobian,
     similarity_velocity_fields,
+    triple_intersects,
     verify_realization,
 )
+from diskpack import analysis
+from diskpack.analysis import Defect, RealizationReport, ThinnessReport, ThinnessViolation
 
 
 def degrees_of(lg):
@@ -97,6 +104,12 @@ class TestDiskSet:
         ds = penny_star()
         assert ds.ids[0] == "hub"
         assert len(ds) == 7
+
+    def test_index_is_not_part_of_the_value(self):
+        ds = penny_star()
+        twin = DiskSet(ds.disks)
+        assert ds == twin and hash(ds) == hash(twin)
+        assert repr(ds) == f"DiskSet(disks={ds.disks!r})"
 
 
 class TestExtractContactGraph:
@@ -227,6 +240,239 @@ class TestIsThin:
     def test_nested_pair_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             is_thin(DiskSet((Disk("a", 0, 0, 3), Disk("b", 0.5, 0, 1))))
+
+
+# All-pairs reference versions of the three pair analyses, as they stood
+# before the broad phase.  The library must agree with them exactly.
+
+
+def nested_message(a, b):
+    return f"disk {a.id!r} and disk {b.id!r} are nested; not a configuration"
+
+
+def reference_extract(ds, tol):
+    disks = ds.disks
+    edges = []
+    labels = {}
+    for i in range(len(disks)):
+        for j in range(i + 1, len(disks)):
+            rel = pair_relation(disks[i], disks[j], tol)
+            if rel.kind is PairKind.CONTAINED:
+                raise InvalidConfigurationError(nested_message(disks[i], disks[j]))
+            if rel.kind in (PairKind.TANGENT, PairKind.OVERLAPPING):
+                k = edge_key(disks[i].id, disks[j].id)
+                edges.append(k)
+                labels[k] = rel.angle if rel.kind is PairKind.OVERLAPPING else 0.0
+    edges.sort()
+    return LabeledContactGraph(Graph(ds.ids, tuple(edges)), labels)
+
+
+def reference_verify(ds, lg, tol):
+    if set(ds.ids) != set(lg.graph.vertices):
+        raise InvalidInputError("disk ids and graph vertices must coincide")
+    keys = lg.graph.edge_keys()
+    disks = sorted(ds.disks, key=lambda d: d.id)
+    defects = []
+    for i in range(len(disks)):
+        for j in range(i + 1, len(disks)):
+            a, b = disks[i], disks[j]
+            k = edge_key(a.id, b.id)
+            rel = pair_relation(a, b, tol)
+            if rel.kind is PairKind.CONTAINED:
+                defects.append(Defect("nested-pair", k, f"center distance {rel.distance!r}"))
+            elif k in keys:
+                want = lg.labels[k]
+                if rel.angle is None:
+                    defects.append(
+                        Defect("angle-mismatch", k, f"edge labeled {want!r} rad but the disks do not meet")
+                    )
+                elif abs(rel.angle - want) > tol:
+                    defects.append(
+                        Defect("angle-mismatch", k, f"labeled {want!r} rad, realized {rel.angle!r} rad")
+                    )
+            elif rel.kind in (PairKind.TANGENT, PairKind.OVERLAPPING):
+                defects.append(
+                    Defect("spurious-contact", k, f"unlabeled pair meets ({rel.kind.value}, distance {rel.distance!r})")
+                )
+    return RealizationReport(not defects, tuple(defects))
+
+
+def reference_thin(ds, tol):
+    disks = ds.disks
+    n = len(disks)
+    meets = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            kind = pair_relation(disks[i], disks[j], tol).kind
+            if kind is PairKind.CONTAINED:
+                raise InvalidConfigurationError(nested_message(disks[i], disks[j]))
+            meets[i][j] = kind in (PairKind.TANGENT, PairKind.OVERLAPPING)
+    violations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not meets[i][j]:
+                continue
+            for k in range(j + 1, n):
+                if meets[i][k] and meets[j][k]:
+                    hit, witness = triple_intersects(disks[i], disks[j], disks[k], tol)
+                    if hit:
+                        violations.append(ThinnessViolation((disks[i].id, disks[j].id, disks[k].id), witness))
+    return ThinnessReport(not violations, tuple(violations))
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (InvalidConfigurationError, InvalidInputError) as err:
+        return type(err), str(err)
+
+
+def assert_matches_all_pairs(ds, lg, tol):
+    got, want = outcome(extract_contact_graph, ds, tol), outcome(reference_extract, ds, tol)
+    assert got == want
+    if isinstance(want, LabeledContactGraph):
+        assert list(got.labels.items()) == list(want.labels.items())
+    assert outcome(verify_realization, ds, lg, tol) == outcome(reference_verify, ds, lg, tol)
+    assert outcome(is_thin, ds, tol) == outcome(reference_thin, ds, tol)
+
+
+def labeled_pairs(ds, pairs, angles):
+    """A labeled graph on the ids of ds with the given index pairs as edges."""
+    ids = ds.ids
+    keys = sorted({edge_key(ids[i], ids[j]) for i, j in pairs if i != j})
+    return LabeledContactGraph(Graph(ids, tuple(keys)), dict(zip(keys, angles)))
+
+
+# Center distances, as functions of (r_a, r_b, tol), on the edges of the
+# tangent band and of the containment band.
+BOUNDARY_DISTANCES = (
+    lambda a, b, tol: a + b + tol,
+    lambda a, b, tol: a + b - tol,
+    lambda a, b, tol: a + b,
+    lambda a, b, tol: abs(a - b) + tol,
+    lambda a, b, tol: 0.0,
+)
+
+
+@st.composite
+def boundary_configurations(draw):
+    """Disk sets in which many pairs sit on a band edge, with a labeled graph
+    that mixes real contacts and far-apart pairs."""
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25]))
+    n = draw(st.integers(0, 9))
+    names = draw(st.permutations(range(n)))
+    disks = []
+    for k in range(n):
+        r = draw(st.floats(0.05, 5.0))
+        if disks and draw(st.booleans()):
+            base = draw(st.sampled_from(disks))
+            if draw(st.booleans()):
+                r = base.r
+            dist = draw(st.sampled_from(BOUNDARY_DISTANCES))(base.r, r, tol)
+            turn = draw(st.sampled_from([0.0, math.pi / 2, math.pi / 3, 1.0, -2.5]))
+            cx, cy = base.cx + dist * math.cos(turn), base.cy + dist * math.sin(turn)
+        else:
+            cx, cy = draw(st.floats(-12.0, 12.0)), draw(st.floats(-12.0, 12.0))
+        disks.append(Disk(f"d{names[k]}", cx, cy, r))
+    ds = DiskSet(tuple(disks))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
+    pairs = draw(st.lists(pair, max_size=2 * n))
+    angles = draw(st.lists(st.floats(0.0, 3.1), min_size=len(pairs), max_size=len(pairs)))
+    return ds, labeled_pairs(ds, pairs, angles), tol
+
+
+class TestAgainstAllPairs:
+    """The broad phase only drops disjoint pairs: every analysis returns
+    exactly what the all-pairs loops return, in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(boundary_configurations())
+    def test_boundary_configurations(self, case):
+        assert_matches_all_pairs(*case)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05])
+    def test_seeded_configurations(self, seed, tol):
+        rng = random.Random(seed)
+        n = rng.randrange(20, 70)
+        spread = DiskSet(tuple(
+            Disk(f"s{k:03d}", rng.uniform(-15, 15), rng.uniform(-15, 15), rng.uniform(0.05, 5.0))
+            for k in range(n)
+        ))
+        # no nested pair; radii spread over 100x; the same, sparse
+        ds = (
+            random_config(rng, n),
+            spread,
+            DiskSet(tuple(Disk(d.id, d.cx, d.cy, d.r / 10.0) for d in spread)),
+        )[seed % 3]
+        contacts = [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if pair_relation(ds.disks[i], ds.disks[j], tol).kind is not PairKind.DISJOINT
+        ]
+        kept = [p for p in contacts if rng.random() < 0.8]
+        far = [(rng.randrange(n), rng.randrange(n)) for _ in range(5)]
+        lg = labeled_pairs(ds, kept + far, [rng.uniform(0.0, 3.0) for _ in range(len(kept) + len(far))])
+        assert_matches_all_pairs(ds, lg, tol)
+
+    def test_extracted_graph_verifies_on_lattices(self):
+        for ds in (hex_penny_patch(), square_lattice(6), sheared_lattice(6)):
+            lg = extract_contact_graph(ds)
+            assert_matches_all_pairs(ds, lg, 1e-9)
+            assert verify_realization(ds, lg).ok
+
+    def test_far_apart_labeled_edge_is_reported(self):
+        ds = DiskSet((Disk("a", 0.0, 0.0, 1.0), Disk("b", 1e6, 0.0, 1.0), Disk("c", 2.0, 0.0, 1.0)))
+        lg = LabeledContactGraph(Graph(ds.ids, (("a", "b"), ("a", "c"))))
+        report = verify_realization(ds, lg)
+        assert report == reference_verify(ds, lg, 1e-9)
+        assert [(d.kind, d.ids) for d in report.defects] == [("angle-mismatch", ("a", "b"))]
+
+    def test_coincident_disks(self):
+        ds = DiskSet((Disk("b", 1.0, 1.0, 1.0), Disk("a", 5.0, 1.0, 2.0), Disk("c", 1.0, 1.0, 1.0)))
+        lg = LabeledContactGraph(Graph(ds.ids, (("b", "c"),)))
+        for tol in (0.0, 1e-9):
+            assert_matches_all_pairs(ds, lg, tol)
+        with pytest.raises(InvalidConfigurationError, match="'b' and disk 'c'"):
+            is_thin(ds)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, -1.0])
+    def test_tiny_sets(self, n, tol):
+        ds = DiskSet(tuple(Disk(f"t{k}", 2.0 * k, 0.0, 1.0) for k in range(n)))
+        lg = labeled_pairs(ds, [(0, 1)] if n == 2 else [], [0.0])
+        assert_matches_all_pairs(ds, lg, tol)
+
+
+def hex_lattice(rows, cols):
+    """Unit disks on the hexagonal lattice, each tangent to up to six others."""
+    return DiskSet(tuple(
+        Disk(f"h{i:03d}_{j:03d}", 2.0 * j + (i % 2), math.sqrt(3.0) * i, 1.0)
+        for i in range(rows)
+        for j in range(cols)
+    ))
+
+
+class TestPairWorkScales:
+    def test_pair_tests_grow_linearly(self, monkeypatch):
+        ds = hex_lattice(55, 55)
+        n = len(ds)
+        calls = []
+
+        def counted(a, b, tol=1e-9):
+            calls.append(1)
+            return pair_relation(a, b, tol)
+
+        monkeypatch.setattr(analysis, "pair_relation", counted)
+        lg = extract_contact_graph(ds)
+        assert len(lg.graph.edges) == 3 * 55 * 55 - 4 * 55 + 1
+        assert len(calls) <= 4 * n
+        calls.clear()
+        assert verify_realization(ds, lg).ok
+        assert len(calls) <= 4 * n
+        calls.clear()
+        assert is_thin(ds).thin
+        assert len(calls) <= 4 * n
 
 
 class TestSimilarityTransform:
