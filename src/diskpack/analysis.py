@@ -19,13 +19,7 @@ from .errors import (
     InvalidConfigurationError,
     InvalidInputError,
 )
-from .geometry import (
-    Disk,
-    PairKind,
-    overlap_angle,
-    pair_relation,
-    triple_intersects,
-)
+from .geometry import Disk, PairKind, _relate, _triple_intersects
 from .graph import Graph, LabeledContactGraph, edge_key
 
 
@@ -63,14 +57,19 @@ class DiskSet:
 
 # Relative widening of the candidate boxes and grid cells.  It only adds
 # candidates, and it dwarfs the roundoff in the cell arithmetic, so a pair that
-# pair_relation would not call disjoint is never dropped.
+# the classification kernel would not call disjoint is never dropped.
 _SLACK = 1e-6
 # Cells per axis at most, which keeps that roundoff small however far apart
 # the disks lie.
 _MAX_CELLS = 1 << 20
 
 
-def _candidate_pairs(disks: Sequence[Disk], tol: float) -> list[tuple[int, int]]:
+def _coordinates(disks: Sequence[Disk]) -> tuple[list[float], list[float], list[float]]:
+    """The centers' x and y and the radii, as flat lists in disk order."""
+    return [d.cx for d in disks], [d.cy for d in disks], [d.r for d in disks]
+
+
+def _candidate_pairs(xs: list[float], ys: list[float], rs: list[float], tol: float) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, in sorted order, whose bounding boxes
     inflated by tol overlap.
 
@@ -80,17 +79,14 @@ def _candidate_pairs(disks: Sequence[Disk], tol: float) -> list[tuple[int, int]]
     diameter plus tol: such a pair sits in the same or in neighbouring cells,
     and each cell is compared only with itself and four of its neighbours.
     When a cell holds O(1) disks, as in a packing with a bounded ratio of
-    radii, the work is near-linear.  Only pairs are filtered here;
-    pair_relation decides kinds.
+    radii, the work is near-linear.  Only pairs are filtered here; the
+    classification kernel decides kinds.
     """
-    n = len(disks)
+    n = len(xs)
     if n < 2:
         return []
     if not tol >= 0:
         raise InvalidInputError(f"tol must be >= 0, got {tol!r}")
-    xs = [d.cx for d in disks]
-    ys = [d.cy for d in disks]
-    rs = [d.r for d in disks]
     x0, y0 = min(xs), min(ys)
     span = max(max(xs) - x0, max(ys) - y0)
     grow = 1.0 + _SLACK
@@ -125,16 +121,18 @@ def extract_contact_graph(ds: DiskSet, tol: float = 1e-9) -> LabeledContactGraph
     pair raises InvalidConfigurationError.
     """
     disks = ds.disks
+    xs, ys, rs = _coordinates(disks)
     edges = []
     labels = {}
-    for i, j in _candidate_pairs(disks, tol):
-        rel = pair_relation(disks[i], disks[j], tol)
-        if rel.kind is PairKind.CONTAINED:
+    for i, j in _candidate_pairs(xs, ys, rs, tol):
+        kind, _, angle = _relate(xs[i] - xs[j], ys[i] - ys[j], rs[i], rs[j], tol)
+        if kind is PairKind.CONTAINED:
             raise _nested(disks[i], disks[j])
-        if rel.kind in (PairKind.TANGENT, PairKind.OVERLAPPING):
+        if kind is not PairKind.DISJOINT:
+            # A tangent pair's angle is 0.0.
             k = edge_key(disks[i].id, disks[j].id)
             edges.append(k)
-            labels[k] = rel.angle if rel.kind is PairKind.OVERLAPPING else 0.0
+            labels[k] = angle
     edges.sort()
     return LabeledContactGraph(Graph(ds.ids, tuple(edges)), labels)
 
@@ -169,30 +167,30 @@ def verify_realization(ds: DiskSet, lg: LabeledContactGraph, tol: float = 1e-9) 
         raise InvalidInputError("disk ids and graph vertices must coincide")
     keys = lg.graph.edge_keys()
     disks = sorted(ds.disks, key=lambda d: d.id)
+    xs, ys, rs = _coordinates(disks)
     # Labeled pairs are checked even when their disks lie far apart.
     index = {d.id: i for i, d in enumerate(disks)}
-    pairs = set(_candidate_pairs(disks, tol))
+    pairs = set(_candidate_pairs(xs, ys, rs, tol))
     pairs.update((index[u], index[v]) for u, v in keys if u != v)
     defects = []
     for i, j in sorted(pairs):
-        a, b = disks[i], disks[j]
-        k = edge_key(a.id, b.id)
-        rel = pair_relation(a, b, tol)
-        if rel.kind is PairKind.CONTAINED:
-            defects.append(Defect("nested-pair", k, f"center distance {rel.distance!r}"))
+        kind, distance, angle = _relate(xs[i] - xs[j], ys[i] - ys[j], rs[i], rs[j], tol)
+        k = edge_key(disks[i].id, disks[j].id)
+        if kind is PairKind.CONTAINED:
+            defects.append(Defect("nested-pair", k, f"center distance {distance!r}"))
         elif k in keys:
             want = lg.labels[k]
-            if rel.angle is None:
+            if angle is None:
                 defects.append(
                     Defect("angle-mismatch", k, f"edge labeled {want!r} rad but the disks do not meet")
                 )
-            elif abs(rel.angle - want) > tol:
+            elif abs(angle - want) > tol:
                 defects.append(
-                    Defect("angle-mismatch", k, f"labeled {want!r} rad, realized {rel.angle!r} rad")
+                    Defect("angle-mismatch", k, f"labeled {want!r} rad, realized {angle!r} rad")
                 )
-        elif rel.kind in (PairKind.TANGENT, PairKind.OVERLAPPING):
+        elif kind is not PairKind.DISJOINT:
             defects.append(
-                Defect("spurious-contact", k, f"unlabeled pair meets ({rel.kind.value}, distance {rel.distance!r})")
+                Defect("spurious-contact", k, f"unlabeled pair meets ({kind.value}, distance {distance!r})")
             )
     return RealizationReport(not defects, tuple(defects))
 
@@ -213,23 +211,27 @@ def is_thin(ds: DiskSet, tol: float = 1e-9) -> ThinnessReport:
     """Decide whether no three disks share a common point.
 
     Only triples whose pairs all meet can share a point, so only the
-    triangles of the contact graph are probed.  Violations come back with a
-    witness point.  A nested pair raises InvalidConfigurationError.
+    triangles of the contact graph are probed.  Each pair is classified
+    once: a nested pair raises InvalidConfigurationError before any triple
+    is probed, so the triple test skips triple_intersects' own nested check.
+    Violations come back with a witness point.
     """
     disks = ds.disks
+    xs, ys, rs = _coordinates(disks)
     # later[i]: the disks after i in ds that meet disk i.
     later = [set() for _ in disks]
-    for i, j in _candidate_pairs(disks, tol):
-        kind = pair_relation(disks[i], disks[j], tol).kind
+    for i, j in _candidate_pairs(xs, ys, rs, tol):
+        kind = _relate(xs[i] - xs[j], ys[i] - ys[j], rs[i], rs[j], tol)[0]
         if kind is PairKind.CONTAINED:
             raise _nested(disks[i], disks[j])
         if kind is not PairKind.DISJOINT:
             later[i].add(j)
+    zs = [complex(x, y) for x, y in zip(xs, ys)]
     violations = []
     for i, above in enumerate(later):
         for j in sorted(above):
             for k in sorted(above & later[j]):
-                hit, witness = triple_intersects(disks[i], disks[j], disks[k], tol)
+                hit, witness = _triple_intersects(zs[i], rs[i], zs[j], rs[j], zs[k], rs[k], tol)
                 if hit:
                     violations.append(
                         ThinnessViolation((disks[i].id, disks[j].id, disks[k].id), witness)

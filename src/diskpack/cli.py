@@ -239,6 +239,17 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """Parse --tol: a number >= 0.  NaN fails the comparison and is rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diskpack",
@@ -248,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, tol_default=None, tol_help=None):
         if tol_default is not None:
-            p.add_argument("--tol", type=float, default=tol_default, help=tol_help)
+            p.add_argument("--tol", type=_tolerance, default=tol_default, help=tol_help)
         p.add_argument("--stamp", action="store_true", help="include a generation timestamp line")
 
     p = sub.add_parser("pack", help="solve a layout problem and emit the disks")

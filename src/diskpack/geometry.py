@@ -76,6 +76,26 @@ def _cos_overlap(a_r: float, b_r: float, d: float) -> float:
     return (d * d - a_r * a_r - b_r * b_r) / (2.0 * a_r * b_r)
 
 
+def _relate(dx: float, dy: float, ra: float, rb: float, tol: float) -> tuple[PairKind, float, Optional[float]]:
+    """Kind, center distance and overlap angle of two disks with radii ra and
+    rb whose centers differ by (dx, dy).
+
+    The classification kernel behind pair_relation, on plain floats so the
+    pair analyses need not build a PairRelation per pair.  tol is not
+    checked here.
+    """
+    d = math.hypot(dx, dy)
+    if d <= abs(ra - rb) + tol:
+        return PairKind.CONTAINED, d, None
+    if abs(d - (ra + rb)) <= tol:
+        return PairKind.TANGENT, d, 0.0
+    if d > ra + rb + tol:
+        return PairKind.DISJOINT, d, None
+    # The branch guards above already certify a meeting, so clamp freely.
+    u = max(-1.0, min(1.0, _cos_overlap(ra, rb, d)))
+    return PairKind.OVERLAPPING, d, math.acos(u)
+
+
 def pair_relation(a: Disk, b: Disk, tol: float = 1e-9) -> PairRelation:
     """Classify a pair of disks as disjoint, tangent, overlapping or contained.
 
@@ -83,20 +103,12 @@ def pair_relation(a: Disk, b: Disk, tol: float = 1e-9) -> PairRelation:
     first and claims d <= |a.r - b.r| + tol, so internal tangency and
     coincident disks count as contained; tangency claims the band
     |d - (a.r + b.r)| <= tol, disjoint needs clearance beyond it, and
-    everything else overlaps, with angles strictly inside (0, pi).
+    everything else overlaps, with angles strictly inside (0, pi).  A
+    negative or NaN tol raises InvalidInputError.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise InvalidInputError(f"tol must be >= 0, got {tol!r}")
-    d = center_distance(a, b)
-    if d <= abs(a.r - b.r) + tol:
-        return PairRelation(PairKind.CONTAINED, d, None)
-    if abs(d - (a.r + b.r)) <= tol:
-        return PairRelation(PairKind.TANGENT, d, 0.0)
-    if d > a.r + b.r + tol:
-        return PairRelation(PairKind.DISJOINT, d, None)
-    # The branch guards above already certify a meeting, so clamp freely.
-    u = max(-1.0, min(1.0, _cos_overlap(a.r, b.r, d)))
-    return PairRelation(PairKind.OVERLAPPING, d, math.acos(u))
+    return PairRelation(*_relate(a.cx - b.cx, a.cy - b.cy, a.r, b.r, tol))
 
 
 def overlap_angle(a: Disk, b: Disk) -> float:
@@ -151,35 +163,39 @@ def boundary_meeting_points(a: Disk, b: Disk, tol: float = 1e-9) -> list[complex
     Two points for crossing circles, one for (near-)tangency, none when the
     circles clear each other by more than tol.  Concentric circles yield none.
     """
-    d = center_distance(a, b)
+    return _meeting_points(a.center, a.r, b.center, b.r, tol)
+
+
+def _meeting_points(za: complex, ra: float, zb: complex, rb: float, tol: float) -> list[complex]:
+    delta = zb - za
+    # math.hypot, as in pair_relation: complex abs may round differently.
+    d = math.hypot(delta.real, delta.imag)
     if d == 0.0:
         return []
-    if d > a.r + b.r + tol or d < abs(a.r - b.r) - tol:
+    if d > ra + rb + tol or d < abs(ra - rb) - tol:
         return []
-    ex = (b.center - a.center) / d
-    x = (d * d + a.r * a.r - b.r * b.r) / (2.0 * d)
-    h2 = a.r * a.r - x * x
+    ex = delta / d
+    x = (d * d + ra * ra - rb * rb) / (2.0 * d)
+    h2 = ra * ra - x * x
     h = math.sqrt(h2) if h2 > 0.0 else 0.0
-    base = a.center + x * ex
+    base = za + x * ex
     if h == 0.0:
         return [base]
     off = complex(-ex.imag, ex.real) * h
     return [base + off, base - off]
 
 
-def _membership_residual(p: complex, disks) -> float:
-    return max(abs(p - d.center) - d.r for d in disks)
-
-
 def triple_intersects(a: Disk, b: Disk, c: Disk, tol: float = 1e-9) -> tuple[bool, Optional[complex]]:
     """Decide whether the three closed disks share a common point.
 
     Returns (True, witness) with a common point, or (False, None).  Assumes
-    no disk of the triple contains another (raises InvalidConfigurationError
-    otherwise).  Under that assumption a nonempty triple intersection always
-    contains a point where two of the boundary circles meet, so testing those
-    meeting points against the third disk (inflated by tol) decides the
-    question exactly.
+    no disk of the triple contains another: this function checks the three
+    pairs first and raises InvalidConfigurationError on a nested one (and
+    InvalidInputError on a negative or NaN tol).  Under that assumption a
+    nonempty triple intersection always contains a point where two of the
+    boundary circles meet, so testing those meeting points against the third
+    disk (inflated by tol) decides the question exactly.  is_thin, which has
+    already classified every pair, calls the unchecked core directly.
     """
     trio = (a, b, c)
     for i in range(3):
@@ -189,11 +205,22 @@ def triple_intersects(a: Disk, b: Disk, c: Disk, tol: float = 1e-9) -> tuple[boo
                     f"disk {trio[i].id!r} and disk {trio[j].id!r} are nested; "
                     "triple intersection is only defined for configurations"
                 )
+    return _triple_intersects(a.center, a.r, b.center, b.r, c.center, c.r, tol)
+
+
+def _triple_intersects(
+    za: complex, ra: float, zb: complex, rb: float, zc: complex, rc: float, tol: float
+) -> tuple[bool, Optional[complex]]:
+    """triple_intersects on centers and radii, for a triple with no nested pair."""
     best: Optional[complex] = None
     best_res = math.inf
-    for x, y, other in ((a, b, c), (a, c, b), (b, c, a)):
-        for p in boundary_meeting_points(x, y, tol):
-            res = abs(p - other.center) - other.r
+    for z1, r1, z2, r2, z3, r3 in (
+        (za, ra, zb, rb, zc, rc),
+        (za, ra, zc, rc, zb, rb),
+        (zb, rb, zc, rc, za, ra),
+    ):
+        for p in _meeting_points(z1, r1, z2, r2, tol):
+            res = abs(p - z3) - r3
             if res < best_res:
                 best_res = res
                 best = p
@@ -202,12 +229,12 @@ def triple_intersects(a: Disk, b: Disk, c: Disk, tol: float = 1e-9) -> tuple[boo
     # The meeting point sits on two of the boundaries, so its residual is ~0.
     # When the common region has interior, walking toward the centroid finds a
     # strictly interior witness; keep whichever point sits deepest.
-    centroid = (a.center + b.center + c.center) / 3.0
+    centroid = (za + zb + zc) / 3.0
     witness = best
-    witness_res = _membership_residual(best, trio)
+    witness_res = max(abs(best - za) - ra, abs(best - zb) - rb, abs(best - zc) - rc)
     for t in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001):
         q = best + t * (centroid - best)
-        q_res = _membership_residual(q, trio)
+        q_res = max(abs(q - za) - ra, abs(q - zb) - rb, abs(q - zc) - rc)
         if q_res < witness_res:
             witness_res = q_res
             witness = q

@@ -1,12 +1,13 @@
 """Disk set analysis: extraction, verification, thinness, similarity, rigidity."""
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -27,8 +28,10 @@ from diskpack import (
     InvalidInputError,
     LabeledContactGraph,
     PairKind,
+    PairRelation,
     SimilarityTransform,
     are_similar,
+    boundary_meeting_points,
     edge_key,
     extract_contact_graph,
     is_thin,
@@ -41,7 +44,7 @@ from diskpack import (
     triple_intersects,
     verify_realization,
 )
-from diskpack import analysis
+from diskpack import analysis, geometry
 from diskpack.analysis import Defect, RealizationReport, ThinnessReport, ThinnessViolation
 
 
@@ -242,8 +245,80 @@ class TestIsThin:
             is_thin(DiskSet((Disk("a", 0, 0, 3), Disk("b", 0.5, 0, 1))))
 
 
+# The pair and triple tests of geometry, frozen as they stood before the
+# analyses classified pairs with a flat-float kernel.  The library must agree
+# with them bit for bit.
+
+
+def frozen_pair_relation(a, b, tol=1e-9):
+    if tol < 0:
+        raise InvalidInputError(f"tol must be >= 0, got {tol!r}")
+    d = math.hypot(a.cx - b.cx, a.cy - b.cy)
+    if d <= abs(a.r - b.r) + tol:
+        return PairRelation(PairKind.CONTAINED, d, None)
+    if abs(d - (a.r + b.r)) <= tol:
+        return PairRelation(PairKind.TANGENT, d, 0.0)
+    if d > a.r + b.r + tol:
+        return PairRelation(PairKind.DISJOINT, d, None)
+    u = max(-1.0, min(1.0, (d * d - a.r * a.r - b.r * b.r) / (2.0 * a.r * b.r)))
+    return PairRelation(PairKind.OVERLAPPING, d, math.acos(u))
+
+
+def frozen_boundary_meeting_points(a, b, tol=1e-9):
+    d = math.hypot(a.cx - b.cx, a.cy - b.cy)
+    if d == 0.0:
+        return []
+    if d > a.r + b.r + tol or d < abs(a.r - b.r) - tol:
+        return []
+    ex = (b.center - a.center) / d
+    x = (d * d + a.r * a.r - b.r * b.r) / (2.0 * d)
+    h2 = a.r * a.r - x * x
+    h = math.sqrt(h2) if h2 > 0.0 else 0.0
+    base = a.center + x * ex
+    if h == 0.0:
+        return [base]
+    off = complex(-ex.imag, ex.real) * h
+    return [base + off, base - off]
+
+
+def frozen_membership_residual(p, disks):
+    return max(abs(p - d.center) - d.r for d in disks)
+
+
+def frozen_triple_intersects(a, b, c, tol=1e-9):
+    trio = (a, b, c)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if frozen_pair_relation(trio[i], trio[j], tol).kind is PairKind.CONTAINED:
+                raise InvalidConfigurationError(
+                    f"disk {trio[i].id!r} and disk {trio[j].id!r} are nested; "
+                    "triple intersection is only defined for configurations"
+                )
+    best = None
+    best_res = math.inf
+    for x, y, other in ((a, b, c), (a, c, b), (b, c, a)):
+        for p in frozen_boundary_meeting_points(x, y, tol):
+            res = abs(p - other.center) - other.r
+            if res < best_res:
+                best_res = res
+                best = p
+    if best is None or best_res > tol:
+        return False, None
+    centroid = (a.center + b.center + c.center) / 3.0
+    witness = best
+    witness_res = frozen_membership_residual(best, trio)
+    for t in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001):
+        q = best + t * (centroid - best)
+        q_res = frozen_membership_residual(q, trio)
+        if q_res < witness_res:
+            witness_res = q_res
+            witness = q
+    return True, witness
+
+
 # All-pairs reference versions of the three pair analyses, as they stood
-# before the broad phase.  The library must agree with them exactly.
+# before the broad phase, on the frozen pair and triple tests.  The library
+# must agree with them exactly.
 
 
 def nested_message(a, b):
@@ -256,7 +331,7 @@ def reference_extract(ds, tol):
     labels = {}
     for i in range(len(disks)):
         for j in range(i + 1, len(disks)):
-            rel = pair_relation(disks[i], disks[j], tol)
+            rel = frozen_pair_relation(disks[i], disks[j], tol)
             if rel.kind is PairKind.CONTAINED:
                 raise InvalidConfigurationError(nested_message(disks[i], disks[j]))
             if rel.kind in (PairKind.TANGENT, PairKind.OVERLAPPING):
@@ -277,7 +352,7 @@ def reference_verify(ds, lg, tol):
         for j in range(i + 1, len(disks)):
             a, b = disks[i], disks[j]
             k = edge_key(a.id, b.id)
-            rel = pair_relation(a, b, tol)
+            rel = frozen_pair_relation(a, b, tol)
             if rel.kind is PairKind.CONTAINED:
                 defects.append(Defect("nested-pair", k, f"center distance {rel.distance!r}"))
             elif k in keys:
@@ -303,7 +378,7 @@ def reference_thin(ds, tol):
     meets = [[False] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            kind = pair_relation(disks[i], disks[j], tol).kind
+            kind = frozen_pair_relation(disks[i], disks[j], tol).kind
             if kind is PairKind.CONTAINED:
                 raise InvalidConfigurationError(nested_message(disks[i], disks[j]))
             meets[i][j] = kind in (PairKind.TANGENT, PairKind.OVERLAPPING)
@@ -314,7 +389,7 @@ def reference_thin(ds, tol):
                 continue
             for k in range(j + 1, n):
                 if meets[i][k] and meets[j][k]:
-                    hit, witness = triple_intersects(disks[i], disks[j], disks[k], tol)
+                    hit, witness = frozen_triple_intersects(disks[i], disks[j], disks[k], tol)
                     if hit:
                         violations.append(ThinnessViolation((disks[i].id, disks[j].id, disks[k].id), witness))
     return ThinnessReport(not violations, tuple(violations))
@@ -408,7 +483,7 @@ class TestAgainstAllPairs:
         )[seed % 3]
         contacts = [
             (i, j) for i in range(n) for j in range(i + 1, n)
-            if pair_relation(ds.disks[i], ds.disks[j], tol).kind is not PairKind.DISJOINT
+            if frozen_pair_relation(ds.disks[i], ds.disks[j], tol).kind is not PairKind.DISJOINT
         ]
         kept = [p for p in contacts if rng.random() < 0.8]
         far = [(rng.randrange(n), rng.randrange(n)) for _ in range(5)]
@@ -444,6 +519,74 @@ class TestAgainstAllPairs:
         assert_matches_all_pairs(ds, lg, tol)
 
 
+@st.composite
+def partners(draw, base, tol, name):
+    """A disk tangent, internally tangent, coincident, crossing or apart
+    from base, or on the edge of a tol band."""
+    r = base.r if draw(st.booleans()) else draw(st.floats(0.05, 5.0))
+    lo, hi = abs(base.r - r), base.r + r
+    dist = draw(st.one_of(
+        st.sampled_from([hi, hi - tol, hi + tol, lo, lo + tol, max(lo - tol, 0.0), 0.0]),
+        st.floats(lo, hi),
+        st.floats(hi, hi + 10.0),
+    ))
+    turn = draw(st.floats(-math.pi, math.pi))
+    return Disk(name, base.cx + dist * math.cos(turn), base.cy + dist * math.sin(turn), r)
+
+
+@st.composite
+def triples(draw):
+    """Three disks and a tol.  The third disk relates to the first two as a
+    partner does, or its center or its boundary sits on a point where their
+    boundaries meet."""
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25]))
+    a = Disk("a", draw(st.floats(-12.0, 12.0)), draw(st.floats(-12.0, 12.0)), draw(st.floats(0.05, 5.0)))
+    b = draw(partners(a, tol, "b"))
+    meets = frozen_boundary_meeting_points(a, b, tol)
+    if meets and draw(st.booleans()):
+        p = draw(st.sampled_from(meets))
+        r = draw(st.floats(0.05, 5.0))
+        offset = draw(st.sampled_from([0.0, 0.5, 1.0, 1.0 + tol, 1.5])) * r
+        turn = draw(st.floats(-math.pi, math.pi))
+        c = Disk("c", p.real + offset * math.cos(turn), p.imag + offset * math.sin(turn), r)
+    else:
+        c = draw(partners(draw(st.sampled_from([a, b])), tol, "c"))
+    return a, b, c, tol
+
+
+def same(got, want):
+    # repr round-trips floats exactly and tells -0.0 from 0.0.
+    return repr(got) == repr(want)
+
+
+class TestAgainstFrozenGeometry:
+    """pair_relation, boundary_meeting_points and triple_intersects agree bit
+    for bit with their frozen copies, errors included."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(triples())
+    # Three tangent pennies share no point; a tighter trio shares a region.
+    @example((Disk("a", 0.0, 0.0, 1.0), Disk("b", 2.0, 0.0, 1.0), Disk("c", 1.0, math.sqrt(3.0), 1.0), 1e-9))
+    @example((Disk("a", 0.0, 0.0, 1.0), Disk("b", 1.5, 0.0, 1.0), Disk("c", 0.75, 0.75 * math.sqrt(3.0), 1.0), 1e-9))
+    @example((Disk("a", 0.0, 0.0, 1.0), Disk("b", 1.0, 0.0, 1.0), Disk("c", 9.0, 0.0, 1.0), 0.0))
+    @example((Disk("a", 0.0, 0.0, 1.0), Disk("b", 0.0, 0.0, 1.0), Disk("c", 1.5, 0.0, 1.0), 1e-9))
+    @example((Disk("a", 0.0, 0.0, 2.0), Disk("b", 1.0, 0.0, 1.0), Disk("c", 2.5, 0.0, 1.0), 0.0))
+    def test_triples(self, case):
+        a, b, c, tol = case
+        trio = (a, b, c)
+        for x, y in itertools.permutations(trio, 2):
+            assert same(pair_relation(x, y, tol), frozen_pair_relation(x, y, tol))
+            assert same(boundary_meeting_points(x, y, tol), frozen_boundary_meeting_points(x, y, tol))
+        for perm in itertools.permutations(trio):
+            assert same(outcome(triple_intersects, *perm, tol), outcome(frozen_triple_intersects, *perm, tol))
+        if any(
+            frozen_pair_relation(x, y, tol).kind is PairKind.CONTAINED
+            for x, y in itertools.combinations(trio, 2)
+        ):
+            with pytest.raises(InvalidConfigurationError, match="are nested"):
+                triple_intersects(a, b, c, tol)
+
+
 def hex_lattice(rows, cols):
     """Unit disks on the hexagonal lattice, each tangent to up to six others."""
     return DiskSet(tuple(
@@ -458,12 +601,22 @@ class TestPairWorkScales:
         ds = hex_lattice(55, 55)
         n = len(ds)
         calls = []
+        probes = []
+        relate, triple = geometry._relate, analysis._triple_intersects
 
-        def counted(a, b, tol=1e-9):
+        def counted(*args):
             calls.append(1)
-            return pair_relation(a, b, tol)
+            return relate(*args)
 
-        monkeypatch.setattr(analysis, "pair_relation", counted)
+        def counted_triple(*args):
+            probes.append(1)
+            return triple(*args)
+
+        # The analyses reach the kernel through analysis; a classification
+        # inside the triple test would reach it through geometry.
+        monkeypatch.setattr(analysis, "_relate", counted)
+        monkeypatch.setattr(geometry, "_relate", counted)
+        monkeypatch.setattr(analysis, "_triple_intersects", counted_triple)
         lg = extract_contact_graph(ds)
         assert len(lg.graph.edges) == 3 * 55 * 55 - 4 * 55 + 1
         assert len(calls) <= 4 * n
@@ -472,7 +625,11 @@ class TestPairWorkScales:
         assert len(calls) <= 4 * n
         calls.clear()
         assert is_thin(ds).thin
+        # Each candidate pair is classified once, and the triangle loop, which
+        # probes every triangle of the lattice, classifies none again.
+        assert len(calls) == len(analysis._candidate_pairs(*analysis._coordinates(ds.disks), 1e-9))
         assert len(calls) <= 4 * n
+        assert len(probes) == 2 * 54 * 54
 
 
 class TestSimilarityTransform:

@@ -299,3 +299,10 @@ class TestFailureModes:
     def test_unknown_command_exits_2(self):
         r = run_cli("frobnicate")
         assert r.returncode == 2
+
+    def test_nan_or_negative_tol_exits_2(self, tmp_path):
+        disks = _write(tmp_path / "a.json", write_disks(penny_star()))
+        for tol in ("nan", "-1e-9", "tiny"):
+            r = run_cli("compare", disks, disks, f"--tol={tol}")
+            assert r.returncode == 2
+            assert "argument --tol: must be a number >= 0" in r.stderr

@@ -75,6 +75,10 @@ class TestPairRelation:
         with pytest.raises(InvalidInputError):
             pair_relation(unit("a", 0.0), unit("b", 1.0), tol=-1.0)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(InvalidInputError, match="tol must be >= 0, got nan"):
+            pair_relation(unit("a", 0.0), unit("b", 100.0), tol=math.nan)
+
     def test_partition_on_random_pairs(self):
         # exactly one kind per pair, and the kind matches the raw inequalities
         rng = random.Random(20817)
@@ -236,6 +240,10 @@ class TestTripleIntersects:
     def test_nested_pair_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             triple_intersects(Disk("a", 0.0, 0.0, 5.0), unit("b", 1.0), unit("c", 9.0))
+
+    def test_nan_tol_rejected(self):
+        with pytest.raises(InvalidInputError, match="tol must be >= 0, got nan"):
+            triple_intersects(unit("a", 0.0), unit("b", 50.0), unit("c", 100.0), tol=math.nan)
 
     def test_decision_is_order_independent(self):
         import itertools
