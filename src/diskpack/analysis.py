@@ -19,7 +19,7 @@ from .errors import (
     InvalidConfigurationError,
     InvalidInputError,
 )
-from .geometry import Disk, PairKind, _relate, _triple_intersects
+from .geometry import Disk, PairKind, _meeting_points, _relate, _triple_intersects
 from .graph import Graph, LabeledContactGraph, edge_key
 
 
@@ -91,20 +91,32 @@ def _candidate_pairs(xs: list[float], ys: list[float], rs: list[float], tol: flo
     span = max(max(xs) - x0, max(ys) - y0)
     grow = 1.0 + _SLACK
     side = max(2.0 * max(rs) + tol, span / _MAX_CELLS) * grow
-    cells: dict[tuple[int, int], list[int]] = {}
+    floor = math.floor
+    # A cell (cx, cy) has the key cx * stride + cy.  The stride leaves a row
+    # of keys above the highest cy, so no neighbour offset wraps into a cell
+    # of the next or previous column.
+    stride = floor((max(ys) - y0) / side) + 2
+    cells: dict[int, list[tuple[float, float, float, int]]] = {}
     for i in range(n):
-        cells.setdefault((math.floor((xs[i] - x0) / side), math.floor((ys[i] - y0) / side)), []).append(i)
+        x, y = xs[i], ys[i]
+        key = floor((x - x0) / side) * stride + floor((y - y0) / side)
+        cells.setdefault(key, []).append((x, y, rs[i], i))
     pairs = []
-    for (cx, cy), members in cells.items():
-        # The same cell, then the cells above, right-below, right and right-above.
-        for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
-            for j in cells.get((cx + dx, cy + dy), ()):
-                for i in members:
-                    if dx == dy == 0 and i >= j:
-                        break
-                    reach = (rs[i] + rs[j] + tol) * grow
-                    if abs(xs[i] - xs[j]) <= reach and abs(ys[i] - ys[j]) <= reach:
-                        pairs.append((i, j) if i < j else (j, i))
+    append = pairs.append
+    for key, members in cells.items():
+        # The cells above, right-below, right and right-above.
+        near = [cells[key + offset] for offset in (1, stride - 1, stride, stride + 1) if key + offset in cells]
+        for a, (xi, yi, ri, i) in enumerate(members):
+            # Later members of the same cell: their index is larger.
+            for xj, yj, rj, j in members[a + 1:]:
+                reach = (ri + rj + tol) * grow
+                if abs(xi - xj) <= reach and abs(yi - yj) <= reach:
+                    append((i, j))
+            for other in near:
+                for xj, yj, rj, j in other:
+                    reach = (ri + rj + tol) * grow
+                    if abs(xi - xj) <= reach and abs(yi - yj) <= reach:
+                        append((i, j) if i < j else (j, i))
     pairs.sort()
     return pairs
 
@@ -167,19 +179,41 @@ def verify_realization(ds: DiskSet, lg: LabeledContactGraph, tol: float = 1e-9) 
         raise InvalidInputError("disk ids and graph vertices must coincide")
     keys = lg.graph.edge_keys()
     disks = sorted(ds.disks, key=lambda d: d.id)
-    xs, ys, rs = _coordinates(disks)
-    # Labeled pairs are checked even when their disks lie far apart.
-    index = {d.id: i for i, d in enumerate(disks)}
-    pairs = set(_candidate_pairs(xs, ys, rs, tol))
-    pairs.update((index[u], index[v]) for u, v in keys if u != v)
+    coordinates = _coordinates(disks)
+    pairs = _candidate_pairs(*coordinates, tol)
+    defects, labeled = _pair_defects(disks, coordinates, pairs, lg.labels, tol)
+    if labeled < sum(1 for u, v in keys if u != v):
+        # A labeled pair whose disks lie far apart is no candidate; merge the
+        # labeled pairs in and check again.
+        index = {d.id: i for i, d in enumerate(disks)}
+        merged = set(pairs)
+        merged.update((index[u], index[v]) for u, v in keys if u != v)
+        defects, _ = _pair_defects(disks, coordinates, sorted(merged), lg.labels, tol)
+    return RealizationReport(not defects, tuple(defects))
+
+
+def _pair_defects(
+    disks: Sequence[Disk],
+    coordinates: tuple[list[float], list[float], list[float]],
+    pairs: Iterable[tuple[int, int]],
+    labels: Mapping[tuple[str, str], float],
+    tol: float,
+) -> tuple[list[Defect], int]:
+    """The defects of the index pairs, in their order, and how many of the
+    pairs are labeled edges.  disks are sorted by id, so pair (i, j), i < j,
+    has the edge key (disks[i].id, disks[j].id)."""
+    xs, ys, rs = coordinates
     defects = []
-    for i, j in sorted(pairs):
+    labeled = 0
+    for i, j in pairs:
         kind, distance, angle = _relate(xs[i] - xs[j], ys[i] - ys[j], rs[i], rs[j], tol)
-        k = edge_key(disks[i].id, disks[j].id)
+        k = (disks[i].id, disks[j].id)
+        want = labels.get(k)
+        if want is not None:
+            labeled += 1
         if kind is PairKind.CONTAINED:
             defects.append(Defect("nested-pair", k, f"center distance {distance!r}"))
-        elif k in keys:
-            want = lg.labels[k]
+        elif want is not None:
             if angle is None:
                 defects.append(
                     Defect("angle-mismatch", k, f"edge labeled {want!r} rad but the disks do not meet")
@@ -192,7 +226,7 @@ def verify_realization(ds: DiskSet, lg: LabeledContactGraph, tol: float = 1e-9) 
             defects.append(
                 Defect("spurious-contact", k, f"unlabeled pair meets ({kind.value}, distance {distance!r})")
             )
-    return RealizationReport(not defects, tuple(defects))
+    return defects, labeled
 
 
 @dataclass(frozen=True)
@@ -218,20 +252,26 @@ def is_thin(ds: DiskSet, tol: float = 1e-9) -> ThinnessReport:
     """
     disks = ds.disks
     xs, ys, rs = _coordinates(disks)
-    # later[i]: the disks after i in ds that meet disk i.
-    later = [set() for _ in disks]
+    zs = [complex(x, y) for x, y in zip(xs, ys)]
+    # later[i] maps each disk j after i in ds that meets disk i to the points
+    # where their boundaries meet.  A pair lies in up to two triangles of a
+    # planar contact graph, so its points are computed once, here.
+    later = [{} for _ in disks]
     for i, j in _candidate_pairs(xs, ys, rs, tol):
         kind = _relate(xs[i] - xs[j], ys[i] - ys[j], rs[i], rs[j], tol)[0]
         if kind is PairKind.CONTAINED:
             raise _nested(disks[i], disks[j])
         if kind is not PairKind.DISJOINT:
-            later[i].add(j)
-    zs = [complex(x, y) for x, y in zip(xs, ys)]
+            later[i][j] = _meeting_points(zs[i], rs[i], zs[j], rs[j], tol)
     violations = []
     for i, above in enumerate(later):
+        zi, ri = zs[i], rs[i]
         for j in sorted(above):
-            for k in sorted(above & later[j]):
-                hit, witness = _triple_intersects(zs[i], rs[i], zs[j], rs[j], zs[k], rs[k], tol)
+            after_j = later[j]
+            for k in sorted(above.keys() & after_j.keys()):
+                hit, witness = _triple_intersects(
+                    zi, ri, zs[j], rs[j], zs[k], rs[k], above[j], above[k], after_j[k], tol
+                )
                 if hit:
                     violations.append(
                         ThinnessViolation((disks[i].id, disks[j].id, disks[k].id), witness)
@@ -400,8 +440,11 @@ def rigidity_index(
     """Count first-order flexes of the realization, beyond similarities.
 
     The realization must actually verify against lg (within 1e-6); the
-    Jacobian null space is measured by SVD with a relative rank threshold.
+    Jacobian null space is measured by SVD with a relative rank threshold,
+    rank_tol, which must be finite and >= 0.
     """
+    if not 0 <= rank_tol < math.inf:
+        raise InvalidInputError(f"rank_tol must be a finite number >= 0, got {rank_tol!r}")
     pinned = frozenset(pinned)
     check = verify_realization(ds, lg, 1e-6)
     if not check.ok:

@@ -240,7 +240,8 @@ def _cmd_render(args) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """Parse --tol: a number >= 0.  NaN fails the comparison and is rejected."""
+    """Parse --tol and --rank-tol: a number >= 0.  NaN fails the comparison
+    and is rejected."""
     try:
         value = float(text)
     except ValueError:
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pin", action="append", help="comma-separated disk ids to hold fixed (repeatable)")
     p.add_argument(
         "--rank-tol",
-        type=float,
+        type=_tolerance,
         default=1e-8,
         help="relative singular-value threshold for rank decisions (default 1e-8)",
     )

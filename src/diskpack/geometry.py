@@ -162,7 +162,10 @@ def boundary_meeting_points(a: Disk, b: Disk, tol: float = 1e-9) -> list[complex
 
     Two points for crossing circles, one for (near-)tangency, none when the
     circles clear each other by more than tol.  Concentric circles yield none.
+    A negative or NaN tol raises InvalidInputError.
     """
+    if not tol >= 0:
+        raise InvalidInputError(f"tol must be >= 0, got {tol!r}")
     return _meeting_points(a.center, a.r, b.center, b.r, tol)
 
 
@@ -205,21 +208,30 @@ def triple_intersects(a: Disk, b: Disk, c: Disk, tol: float = 1e-9) -> tuple[boo
                     f"disk {trio[i].id!r} and disk {trio[j].id!r} are nested; "
                     "triple intersection is only defined for configurations"
                 )
-    return _triple_intersects(a.center, a.r, b.center, b.r, c.center, c.r, tol)
+    za, zb, zc = a.center, b.center, c.center
+    return _triple_intersects(
+        za, a.r, zb, b.r, zc, c.r,
+        _meeting_points(za, a.r, zb, b.r, tol),
+        _meeting_points(za, a.r, zc, c.r, tol),
+        _meeting_points(zb, b.r, zc, c.r, tol),
+        tol,
+    )
 
 
 def _triple_intersects(
-    za: complex, ra: float, zb: complex, rb: float, zc: complex, rc: float, tol: float
+    za: complex, ra: float, zb: complex, rb: float, zc: complex, rc: float,
+    ab: list[complex], ac: list[complex], bc: list[complex], tol: float,
 ) -> tuple[bool, Optional[complex]]:
-    """triple_intersects on centers and radii, for a triple with no nested pair."""
+    """triple_intersects on centers and radii, for a triple with no nested pair.
+
+    ab, ac and bc are the meeting points of the pairs, as _meeting_points
+    gives them with the earlier disk first, so a caller that probes many
+    triangles computes each pair's points once.
+    """
     best: Optional[complex] = None
     best_res = math.inf
-    for z1, r1, z2, r2, z3, r3 in (
-        (za, ra, zb, rb, zc, rc),
-        (za, ra, zc, rc, zb, rb),
-        (zb, rb, zc, rc, za, ra),
-    ):
-        for p in _meeting_points(z1, r1, z2, r2, tol):
+    for points, z3, r3 in ((ab, zc, rc), (ac, zb, rb), (bc, za, ra)):
+        for p in points:
             res = abs(p - z3) - r3
             if res < best_res:
                 best_res = res
@@ -228,14 +240,22 @@ def _triple_intersects(
         return False, None
     # The meeting point sits on two of the boundaries, so its residual is ~0.
     # When the common region has interior, walking toward the centroid finds a
-    # strictly interior witness; keep whichever point sits deepest.
+    # strictly interior witness; keep whichever point sits deepest.  A point's
+    # residual is the largest of its three, so a point is deeper only when
+    # each of the three is below the best so far.
     centroid = (za + zb + zc) / 3.0
     witness = best
     witness_res = max(abs(best - za) - ra, abs(best - zb) - rb, abs(best - zc) - rc)
     for t in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001):
         q = best + t * (centroid - best)
-        q_res = max(abs(q - za) - ra, abs(q - zb) - rb, abs(q - zc) - rc)
-        if q_res < witness_res:
-            witness_res = q_res
+        res_a = abs(q - za) - ra
+        if not res_a < witness_res:
+            continue
+        res_b = abs(q - zb) - rb
+        if not res_b < witness_res:
+            continue
+        res_c = abs(q - zc) - rc
+        if res_c < witness_res:
+            witness_res = max(res_a, res_b, res_c)
             witness = q
     return True, witness

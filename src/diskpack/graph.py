@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
@@ -42,14 +43,17 @@ class Graph:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        seen = set()
-        for v in self.vertices:
-            if v in seen:
-                raise InvalidInputError(f"duplicate vertex id {v!r}")
-            seen.add(v)
-        for u, v in self.edges:
-            if u not in seen or v not in seen:
-                raise InvalidInputError(f"edge ({u!r}, {v!r}) names an unknown vertex")
+        seen = set(self.vertices)
+        if len(seen) != len(self.vertices):
+            first = set()
+            for v in self.vertices:
+                if v in first:
+                    raise InvalidInputError(f"duplicate vertex id {v!r}")
+                first.add(v)
+        if not seen.issuperset(chain.from_iterable(self.edges)):
+            for u, v in self.edges:
+                if u not in seen or v not in seen:
+                    raise InvalidInputError(f"edge ({u!r}, {v!r}) names an unknown vertex")
 
     def adjacency(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {v: set() for v in self.vertices}
@@ -60,7 +64,8 @@ class Graph:
         return adj
 
     def edge_keys(self) -> set[tuple[str, str]]:
-        return {edge_key(u, v) for u, v in self.edges}
+        # edge_key, inlined: this runs once per edge of every labeled graph.
+        return {(u, v) if u <= v else (v, u) for u, v in self.edges}
 
 
 @dataclass(frozen=True)
@@ -268,16 +273,23 @@ class LabeledContactGraph:
 
     def __post_init__(self):
         keys = self.graph.edge_keys()
-        normalized = {}
-        for (u, v), theta in self.labels.items():
-            k = edge_key(u, v)
-            if k not in keys:
-                raise InvalidInputError(f"label on {k!r}, which is not an edge")
-            if not (math.isfinite(theta) and 0.0 <= theta < math.pi):
-                raise InvalidInputError(f"label on {k!r} must lie in [0, pi), got {theta!r}")
-            normalized[k] = float(theta)
-        for k in keys:
-            normalized.setdefault(k, 0.0)
+        labels = self.labels
+        # Labels already keyed by edge keys, with float values in range, are
+        # taken as they are; a float in [0, pi) is finite.
+        if keys.issuperset(labels) and all(type(t) is float and 0.0 <= t < math.pi for t in labels.values()):
+            normalized = dict(labels)
+        else:
+            normalized = {}
+            for (u, v), theta in labels.items():
+                k = edge_key(u, v)
+                if k not in keys:
+                    raise InvalidInputError(f"label on {k!r}, which is not an edge")
+                if not (math.isfinite(theta) and 0.0 <= theta < math.pi):
+                    raise InvalidInputError(f"label on {k!r} must lie in [0, pi), got {theta!r}")
+                normalized[k] = float(theta)
+        if len(normalized) < len(keys):
+            for k in keys:
+                normalized.setdefault(k, 0.0)
         object.__setattr__(self, "labels", normalized)
 
     def label(self, u: str, v: str) -> float:

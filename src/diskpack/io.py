@@ -19,11 +19,12 @@ from typing import Optional, Union
 from .analysis import DiskSet
 from .errors import ParseError
 from .geometry import Disk
-from .graph import EmbeddedGraph, Graph, LabeledContactGraph, edge_key
+from .graph import EmbeddedGraph, Graph, LabeledContactGraph
 from .layout import LayoutProblem
 
 GRAPH_FIELDS = ("vertices", "rotation", "boundary", "boundary_radii", "angles_deg")
 DISK_FIELDS = ("id", "x", "y", "r")
+_DISK_KEYS = frozenset(DISK_FIELDS)
 
 
 def _require_number(value, path: str, positive: bool = False) -> float:
@@ -37,10 +38,22 @@ def _require_number(value, path: str, positive: bool = False) -> float:
     return x
 
 
-def _require_string(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(path, f"expected a string, got {value!r}")
-    return value
+def _check_known(ids: list, known: set, path: str) -> None:
+    """Raise the error of the first entry of ids that is not a known id.
+
+    known holds strings only, so when it is a superset of ids every entry is
+    a known id and a string, and no entry needs a look of its own.
+    """
+    try:
+        if known.issuperset(ids):
+            return
+    except TypeError:  # an unhashable entry: a JSON array or object
+        pass
+    for i, u in enumerate(ids):
+        if not isinstance(u, str):
+            raise ParseError(f"{path}[{i}]", f"expected a string, got {u!r}")
+        if u not in known:
+            raise ParseError(f"{path}[{i}]", f"unknown vertex id {u!r}")
 
 
 def _parse_json(text: Union[str, bytes], what: str):
@@ -63,12 +76,9 @@ class GraphDocument:
     def edge_list(self) -> tuple[tuple[str, str], ...]:
         # Multiset of edges implied by the rotation: each u > v listing is one
         # edge (the u < v mirror is skipped), each self listing one loop.
-        edges: list[tuple[str, str]] = []
-        for v in self.vertices:
-            for u in self.rotation[v]:
-                if u >= v:
-                    edges.append((v, u))
-        return tuple(sorted(edges))
+        edges = [(v, u) for v in self.vertices for u in self.rotation[v] if u >= v]
+        edges.sort()
+        return tuple(edges)
 
     def to_graph(self) -> Graph:
         return Graph(self.vertices, self.edge_list())
@@ -111,14 +121,14 @@ def read_graph(text: Union[str, bytes]) -> GraphDocument:
     raw_vertices = data["vertices"]
     if not isinstance(raw_vertices, list):
         raise ParseError("vertices", "expected a list of vertex ids")
-    vertices = []
     seen = set()
     for i, v in enumerate(raw_vertices):
-        vid = _require_string(v, f"vertices[{i}]")
-        if vid in seen:
-            raise ParseError(f"vertices[{i}]", f"duplicate vertex id {vid!r}")
-        seen.add(vid)
-        vertices.append(vid)
+        if not isinstance(v, str):
+            raise ParseError(f"vertices[{i}]", f"expected a string, got {v!r}")
+        if v in seen:
+            raise ParseError(f"vertices[{i}]", f"duplicate vertex id {v!r}")
+        seen.add(v)
+    vertices = tuple(raw_vertices)
 
     raw_rotation = data["rotation"]
     if not isinstance(raw_rotation, dict):
@@ -133,35 +143,38 @@ def read_graph(text: Union[str, bytes]) -> GraphDocument:
         order = raw_rotation[v]
         if not isinstance(order, list):
             raise ParseError(f"rotation.{v}", "expected a list of neighbor ids")
-        entries = []
-        for i, u in enumerate(order):
-            uid = _require_string(u, f"rotation.{v}[{i}]")
-            if uid not in seen:
-                raise ParseError(f"rotation.{v}[{i}]", f"unknown vertex id {uid!r}")
-            entries.append(uid)
-        rotation[v] = tuple(entries)
-    for v in vertices:
-        for u in set(rotation[v]):
-            if u != v and rotation[v].count(u) != rotation[u].count(v):
-                raise ParseError(
-                    f"rotation.{v}",
-                    f"edge to {u!r} is not mirrored: {rotation[v].count(u)} listing(s) here, "
-                    f"{rotation[u].count(v)} there",
-                )
+        _check_known(order, seen, f"rotation.{v}")
+        rotation[v] = tuple(order)
+    # An edge must be listed as often from either end.  When no rotation
+    # lists a neighbor twice, that holds when every listing has its mirror;
+    # otherwise the listings are counted.
+    neighbors = {v: set(order) for v, order in rotation.items()}
+    if not (
+        all(len(neighbors[v]) == len(order) for v, order in rotation.items())
+        and all(v in neighbors[u] for v, order in rotation.items() for u in order)
+    ):
+        for v, order in rotation.items():
+            for u in dict.fromkeys(order):
+                here, there = order.count(u), rotation[u].count(v)
+                if u != v and here != there:
+                    raise ParseError(
+                        f"rotation.{v}",
+                        f"edge to {u!r} is not mirrored: {here} listing(s) here, {there} there",
+                    )
 
     raw_boundary = data["boundary"]
     if not isinstance(raw_boundary, list):
         raise ParseError("boundary", "expected a list of vertex ids")
-    boundary = []
     bset = set()
     for i, v in enumerate(raw_boundary):
-        vid = _require_string(v, f"boundary[{i}]")
-        if vid not in seen:
-            raise ParseError(f"boundary[{i}]", f"unknown vertex id {vid!r}")
-        if vid in bset:
-            raise ParseError(f"boundary[{i}]", f"duplicate boundary id {vid!r}")
-        bset.add(vid)
-        boundary.append(vid)
+        if not isinstance(v, str):
+            raise ParseError(f"boundary[{i}]", f"expected a string, got {v!r}")
+        if v not in seen:
+            raise ParseError(f"boundary[{i}]", f"unknown vertex id {v!r}")
+        if v in bset:
+            raise ParseError(f"boundary[{i}]", f"duplicate boundary id {v!r}")
+        bset.add(v)
+    boundary = tuple(raw_boundary)
 
     raw_radii = data["boundary_radii"]
     if not isinstance(raw_radii, dict):
@@ -175,28 +188,27 @@ def read_graph(text: Union[str, bytes]) -> GraphDocument:
     raw_angles = data["angles_deg"]
     if not isinstance(raw_angles, dict):
         raise ParseError("angles_deg", "expected an object mapping 'i:j' to degrees")
-    edge_set = set()
-    for v in vertices:
-        for u in rotation[v]:
-            edge_set.add(edge_key(u, v))
     angles = {}
     for key, value in raw_angles.items():
-        path = f"angles_deg.{key}"
         u, sep, v = key.partition(":")
         if not sep or not u or not v:
-            raise ParseError(path, "key must look like 'i:j'")
-        if (u, v) != edge_key(u, v):
-            raise ParseError(path, "endpoint ids must be in sorted order")
+            raise ParseError(f"angles_deg.{key}", "key must look like 'i:j'")
+        if u > v:
+            raise ParseError(f"angles_deg.{key}", "endpoint ids must be in sorted order")
         if u not in seen or v not in seen:
-            raise ParseError(path, "names an unknown vertex")
-        if (u, v) not in edge_set:
-            raise ParseError(path, "names a pair that is not an edge of the rotation")
-        deg = _require_number(value, path)
-        if not 0.0 <= deg < 180.0:
-            raise ParseError(path, f"angle must lie in [0, 180) degrees, got {value!r}")
+            raise ParseError(f"angles_deg.{key}", "names an unknown vertex")
+        # The listings are mirrored, so u lists v exactly when u-v is an edge.
+        if v not in neighbors[u]:
+            raise ParseError(f"angles_deg.{key}", "names a pair that is not an edge of the rotation")
+        # A float in [0, 180) is finite and passes as it is.
+        deg = value
+        if type(deg) is not float or not 0.0 <= deg < 180.0:
+            deg = _require_number(value, f"angles_deg.{key}")
+            if not 0.0 <= deg < 180.0:
+                raise ParseError(f"angles_deg.{key}", f"angle must lie in [0, 180) degrees, got {value!r}")
         angles[key] = deg
 
-    return GraphDocument(tuple(vertices), rotation, tuple(boundary), radii, angles)
+    return GraphDocument(vertices, rotation, boundary, radii, angles)
 
 
 def write_graph(doc: GraphDocument) -> str:
@@ -250,22 +262,31 @@ def read_disks(text: Union[str, bytes]) -> DiskSet:
         raise ParseError("$", "disk document must be a JSON array of records")
     disks = []
     seen = set()
+    isfinite = math.isfinite
     for i, rec in enumerate(data):
         if not isinstance(rec, dict):
             raise ParseError(f"[{i}]", "expected an object with fields id, x, y, r")
-        for k in rec:
-            if k not in DISK_FIELDS:
-                raise ParseError(f"[{i}].{k}", "unknown field")
-        for k in DISK_FIELDS:
-            if k not in rec:
-                raise ParseError(f"[{i}]", f"missing field {k!r}")
-        disk_id = _require_string(rec["id"], f"[{i}].id")
+        if rec.keys() != _DISK_KEYS:
+            for k in rec:
+                if k not in DISK_FIELDS:
+                    raise ParseError(f"[{i}].{k}", "unknown field")
+            for k in DISK_FIELDS:
+                if k not in rec:
+                    raise ParseError(f"[{i}]", f"missing field {k!r}")
+        disk_id, x, y, r = rec["id"], rec["x"], rec["y"], rec["r"]
+        if not isinstance(disk_id, str):
+            raise ParseError(f"[{i}].id", f"expected a string, got {disk_id!r}")
         if disk_id in seen:
             raise ParseError(f"[{i}].id", f"duplicate disk id {disk_id!r}")
         seen.add(disk_id)
-        x = _require_number(rec["x"], f"[{i}].x")
-        y = _require_number(rec["y"], f"[{i}].y")
-        r = _require_number(rec["r"], f"[{i}].r", positive=True)
+        # JSON floats that are finite, and a positive radius, pass as they
+        # are; anything else goes through the full check.
+        if type(x) is not float or not isfinite(x):
+            x = _require_number(x, f"[{i}].x")
+        if type(y) is not float or not isfinite(y):
+            y = _require_number(y, f"[{i}].y")
+        if type(r) is not float or not isfinite(r) or r <= 0:
+            r = _require_number(r, f"[{i}].r", positive=True)
         disks.append(Disk(disk_id, x, y, r))
     return DiskSet(tuple(disks))
 

@@ -8,10 +8,12 @@ tautology.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
+from hypothesis import settings
 from scipy.spatial import Delaunay
 
 from diskpack import (
@@ -24,6 +26,11 @@ from diskpack import (
     edge_key,
     rotation_from_positions,
 )
+
+# The "ci" profile draws the same examples on every run, so that a failure
+# in CI replays locally: HYPOTHESIS_PROFILE=ci python -m pytest ...
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # ------------------------------------------------------------------ graphs
 

@@ -602,7 +602,8 @@ class TestPairWorkScales:
         n = len(ds)
         calls = []
         probes = []
-        relate, triple = geometry._relate, analysis._triple_intersects
+        meets = []
+        relate, triple, meeting_points = geometry._relate, analysis._triple_intersects, geometry._meeting_points
 
         def counted(*args):
             calls.append(1)
@@ -612,11 +613,17 @@ class TestPairWorkScales:
             probes.append(1)
             return triple(*args)
 
+        def counted_meeting_points(*args):
+            meets.append(args[:4])
+            return meeting_points(*args)
+
         # The analyses reach the kernel through analysis; a classification
         # inside the triple test would reach it through geometry.
         monkeypatch.setattr(analysis, "_relate", counted)
         monkeypatch.setattr(geometry, "_relate", counted)
         monkeypatch.setattr(analysis, "_triple_intersects", counted_triple)
+        monkeypatch.setattr(analysis, "_meeting_points", counted_meeting_points)
+        monkeypatch.setattr(geometry, "_meeting_points", counted_meeting_points)
         lg = extract_contact_graph(ds)
         assert len(lg.graph.edges) == 3 * 55 * 55 - 4 * 55 + 1
         assert len(calls) <= 4 * n
@@ -630,6 +637,10 @@ class TestPairWorkScales:
         assert len(calls) == len(analysis._candidate_pairs(*analysis._coordinates(ds.disks), 1e-9))
         assert len(calls) <= 4 * n
         assert len(probes) == 2 * 54 * 54
+        # The points where two boundaries meet are computed at most once per
+        # contact pair, though each inner edge lies in two probed triangles.
+        assert len(meets) <= len(lg.graph.edges)
+        assert len(set(meets)) == len(meets)
 
 
 class TestSimilarityTransform:
@@ -826,6 +837,15 @@ class TestRigidity:
         lg = extract_contact_graph(ds)
         with pytest.raises(InvalidInputError):
             rigidity_index(ds, lg, pinned=["zz"])
+
+    @pytest.mark.parametrize("rank_tol", [math.nan, -1e-8, math.inf])
+    def test_bad_rank_tol_rejected(self, rank_tol):
+        # A NaN rank_tol once counted every singular value as null.
+        ds = penny_star()
+        lg = extract_contact_graph(ds)
+        with pytest.raises(InvalidInputError, match=f"rank_tol must be a finite number >= 0, got {rank_tol!r}"):
+            rigidity_index(ds, lg, rank_tol=rank_tol)
+        assert rigidity_index(ds, lg, rank_tol=0.0).rank == rigidity_index(ds, lg).rank
 
     def test_jacobian_row_for_a_tangent_pair(self):
         ds = DiskSet((Disk("a", 0, 0, 1), Disk("b", 3, 0, 2)))

@@ -306,3 +306,14 @@ class TestFailureModes:
             r = run_cli("compare", disks, disks, f"--tol={tol}")
             assert r.returncode == 2
             assert "argument --tol: must be a number >= 0" in r.stderr
+
+    def test_bad_rank_tol_exits_2(self, tmp_path):
+        disks = _write(tmp_path / "star.json", write_disks(penny_star()))
+        graph = _write(tmp_path / "wheel.json", doc_text(wheel_doc(6)))
+        for rank_tol in ("nan", "-1e-8", "tiny"):
+            r = run_cli("rigidity", disks, graph, f"--rank-tol={rank_tol}")
+            assert r.returncode == 2
+            assert "argument --rank-tol: must be a number >= 0" in r.stderr
+        r = run_cli("rigidity", disks, graph, "--rank-tol=inf")
+        assert r.returncode == 2
+        assert "rank_tol must be a finite number >= 0, got inf" in r.stderr

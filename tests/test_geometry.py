@@ -214,6 +214,12 @@ class TestBoundaryMeetingPoints:
         assert boundary_meeting_points(unit("a", 0.0), Disk("b", 0.0, 0.0, 3.0)) == []
         assert boundary_meeting_points(Disk("a", 0.0, 0.0, 3.0), unit("b", 0.5)) == []
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        # A NaN tol once made circles 98 apart meet at (50, 0).
+        with pytest.raises(InvalidInputError, match=f"tol must be >= 0, got {tol!r}"):
+            boundary_meeting_points(unit("a", 0.0), unit("b", 100.0), tol)
+
 
 class TestTripleIntersects:
     def test_three_tangent_pennies_share_nothing(self):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import cyclic_equal, penny_star, random_patch, wheel_embedding
@@ -311,6 +312,18 @@ class TestLabeledContactGraph:
     def test_keys_normalize_to_sorted_order(self):
         lg = LabeledContactGraph(Graph(("a", "b"), (("b", "a"),)), {("b", "a"): 0.25})
         assert lg.labels == {("a", "b"): 0.25}
+
+    def test_labels_become_floats_in_label_order(self):
+        g = Graph(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")))
+        lg = LabeledContactGraph(g, {("b", "c"): 1, ("a", "c"): np.float64(0.5), ("a", "b"): 0.25})
+        assert list(lg.labels.items())[:3] == [(("b", "c"), 1.0), (("a", "c"), 0.5), (("a", "b"), 0.25)]
+        assert lg.labels[("c", "d")] == 0.0
+        assert all(type(theta) is float for theta in lg.labels.values())
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -0.0 - 1e-300])
+    def test_label_nan_or_infinite_rejected(self, theta):
+        with pytest.raises(InvalidInputError, match="must lie in"):
+            LabeledContactGraph(Graph(("a", "b"), (("a", "b"),)), {("a", "b"): theta})
 
 
 class TestRotationFromPositions:
