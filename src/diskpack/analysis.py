@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from .errors import (
     InvalidConfigurationError,
     InvalidInputError,
 )
-from .geometry import Disk, PairKind, _meeting_points, _relate, _triple_intersects
-from .graph import Graph, LabeledContactGraph, edge_key
+from .geometry import Disk, PairKind, _meeting_points, _triple_intersects
+from .graph import Graph, LabeledContactGraph
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,23 @@ class DiskSet:
 
 # Relative widening of the candidate boxes and grid cells.  It only adds
 # candidates, and it dwarfs the roundoff in the cell arithmetic, so a pair that
-# the classification kernel would not call disjoint is never dropped.
+# the classification would not call disjoint is never dropped.
 _SLACK = 1e-6
 # Cells per axis at most, which keeps that roundoff small however far apart
 # the disks lie.
 _MAX_CELLS = 1 << 20
+# Disk sets up to this size box-test every pair; larger ones use the cell grid.
+# On hex lattices, timed on a 2-core VM with Python 3.11 and numpy 2.4, the
+# two cross near 130 disks: at 30 disks the dense test takes half the grid's
+# time, at 500 disks nine times as long.
+_DENSE_MAX = 128
+# Neighbour-cell pairs are box-tested this many at a time, so a crowded cell
+# costs time, not memory.
+_CHUNK = 1 << 14
+
+# The kinds as codes: _KINDS[code] is the PairKind.
+_DISJOINT, _TANGENT, _OVERLAPPING, _CONTAINED = range(4)
+_KINDS = (PairKind.DISJOINT, PairKind.TANGENT, PairKind.OVERLAPPING, PairKind.CONTAINED)
 
 
 def _coordinates(disks: Sequence[Disk]) -> tuple[list[float], list[float], list[float]]:
@@ -69,60 +81,151 @@ def _coordinates(disks: Sequence[Disk]) -> tuple[list[float], list[float], list[
     return [d.cx for d in disks], [d.cy for d in disks], [d.r for d in disks]
 
 
-def _candidate_pairs(xs: list[float], ys: list[float], rs: list[float], tol: float) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, in sorted order, whose bounding boxes
-    inflated by tol overlap.
+class _Meetings(NamedTuple):
+    """The pairs (i[k], j[k]), i < j, in lexicographic order, that are not
+    disjoint, with their kind codes, center distances and overlap angles
+    (0.0 unless they overlap)."""
+
+    i: np.ndarray
+    j: np.ndarray
+    kind: np.ndarray
+    distance: np.ndarray
+    angle: np.ndarray
+
+
+def _meetings(xs: list[float], ys: list[float], rs: list[float], tol: float) -> _Meetings:
+    """The pair stage of the pair analyses: the broad phase, then one
+    classification of every candidate.
+
+    Differences of far-apart centers overflow to inf, as they do in Python
+    floats, and numpy's warnings about it are silenced.
+    """
+    if len(xs) >= 2 and not tol >= 0:
+        raise InvalidInputError(f"tol must be >= 0, got {tol!r}")
+    x, y, r = np.array(xs, float), np.array(ys, float), np.array(rs, float)
+    with np.errstate(all="ignore"):
+        i, j = _candidates(x, y, r, tol)
+        kind, distance, angle = _classify(x, y, r, i, j, tol)
+    meet = kind != _DISJOINT
+    return _Meetings(i[meet], j[meet], kind[meet], distance[meet], angle[meet])
+
+
+def _candidates(x: np.ndarray, y: np.ndarray, r: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays i < j, in lexicographic order, of the pairs whose
+    bounding boxes inflated by tol overlap.
 
     A pair that is not disjoint at tol has center distance at most
     r_i + r_j + tol, so |dx| and |dy| are within that too and the pair is
-    returned.  The search is a uniform grid with cells wider than the largest
-    diameter plus tol: such a pair sits in the same or in neighbouring cells,
-    and each cell is compared only with itself and four of its neighbours.
-    When a cell holds O(1) disks, as in a packing with a bounded ratio of
-    radii, the work is near-linear.  Only pairs are filtered here; the
-    classification kernel decides kinds.
+    kept.  Up to _DENSE_MAX disks, every pair of the upper triangle is
+    tested; it comes in lexicographic order.  Larger sets use a uniform grid
+    with cells wider than the largest diameter plus tol: such a pair sits in
+    the same or in neighbouring cells, and each cell is compared only with
+    itself and four of its neighbours.  When a cell holds O(1) disks, as in
+    a packing with a bounded ratio of radii, the work is near-linear.
     """
-    n = len(xs)
-    if n < 2:
-        return []
-    if not tol >= 0:
-        raise InvalidInputError(f"tol must be >= 0, got {tol!r}")
-    x0, y0 = min(xs), min(ys)
-    span = max(max(xs) - x0, max(ys) - y0)
-    grow = 1.0 + _SLACK
-    side = max(2.0 * max(rs) + tol, span / _MAX_CELLS) * grow
-    floor = math.floor
+    n = len(x)
+    if n <= _DENSE_MAX:
+        i, j = np.triu_indices(n, 1)
+        return _box_test(x, y, r, i, j, tol)
+    x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
+    # Centers more than the largest float apart get their cells in halved
+    # coordinates, which are exact at that scale and do not overflow.
+    scale = 1.0 if max(x1 - x0, y1 - y0) < math.inf else 0.5
+    span = max(x1 * scale - x0 * scale, y1 * scale - y0 * scale)
+    side = max((2.0 * float(r.max()) + tol) * scale, span / _MAX_CELLS) * (1.0 + _SLACK)
     # A cell (cx, cy) has the key cx * stride + cy.  The stride leaves a row
     # of keys above the highest cy, so no neighbour offset wraps into a cell
     # of the next or previous column.
-    stride = floor((max(ys) - y0) / side) + 2
-    cells: dict[int, list[tuple[float, float, float, int]]] = {}
-    for i in range(n):
-        x, y = xs[i], ys[i]
-        key = floor((x - x0) / side) * stride + floor((y - y0) / side)
-        cells.setdefault(key, []).append((x, y, rs[i], i))
-    pairs = []
-    append = pairs.append
-    for key, members in cells.items():
-        # The cells above, right-below, right and right-above.
-        near = [cells[key + offset] for offset in (1, stride - 1, stride, stride + 1) if key + offset in cells]
-        for a, (xi, yi, ri, i) in enumerate(members):
-            # Later members of the same cell: their index is larger.
-            for xj, yj, rj, j in members[a + 1:]:
-                reach = (ri + rj + tol) * grow
-                if abs(xi - xj) <= reach and abs(yi - yj) <= reach:
-                    append((i, j))
-            for other in near:
-                for xj, yj, rj, j in other:
-                    reach = (ri + rj + tol) * grow
-                    if abs(xi - xj) <= reach and abs(yi - yj) <= reach:
-                        append((i, j) if i < j else (j, i))
-    pairs.sort()
-    return pairs
+    stride = math.floor((y1 * scale - y0 * scale) / side) + 2
+    key = np.floor((x * scale - x0 * scale) / side).astype(np.int64) * stride
+    key += np.floor((y * scale - y0 * scale) / side).astype(np.int64)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # The disks of cell c sit at positions starts[c]:ends[c] of order.
+    starts = np.flatnonzero(np.diff(key, prepend=key[0] - 1))
+    cells = key[starts]
+    ends = np.append(starts[1:], n)
+    cell = np.repeat(np.arange(len(cells)), ends - starts)
+    position = np.arange(n)
+    # Each position is paired with a range of positions: the later members of
+    # its own cell, and the members of the cells above, right-below, right and
+    # right-above.
+    lefts, firsts, lasts = [position], [position + 1], [ends[cell]]
+    for offset in (1, stride - 1, stride, stride + 1):
+        near = cells + offset
+        q = np.minimum(np.searchsorted(cells, near), len(cells) - 1)
+        hit = (cells[q] == near)[cell]
+        q = q[cell[hit]]
+        lefts.append(position[hit])
+        firsts.append(starts[q])
+        lasts.append(ends[q])
+    left, first = np.concatenate(lefts), np.concatenate(firsts)
+    size = np.concatenate(lasts) - first
+    bounds = np.cumsum(size)
+    # Pair number t lies in the range k with bounds[k - 1] <= t < bounds[k].
+    offset = first - (bounds - size)
+    found_i, found_j = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for t0 in range(0, int(bounds[-1]), _CHUNK):
+        t = np.arange(t0, min(t0 + _CHUNK, int(bounds[-1])))
+        k = np.searchsorted(bounds, t, side="right")
+        a, b = _box_test(x, y, r, order[left[k]], order[t + offset[k]], tol)
+        found_i.append(np.minimum(a, b))
+        found_j.append(np.maximum(a, b))
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
+    order = np.argsort(i * n + j, kind="stable")
+    return i[order], j[order]
+
+
+def _box_test(
+    x: np.ndarray, y: np.ndarray, r: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) whose bounding boxes, inflated by tol and widened by
+    the slack, overlap."""
+    reach = (r[i] + r[j] + tol) * (1.0 + _SLACK)
+    keep = (np.abs(x[i] - x[j]) <= reach) & (np.abs(y[i] - y[j]) <= reach)
+    return i[keep], j[keep]
+
+
+def _classify(
+    x: np.ndarray, y: np.ndarray, r: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kind codes, center distances and overlap angles of the pairs (i, j).
+
+    Each equals what geometry._relate gives the pair, bit for bit.
+    math.hypot and math.acos are mapped over lists, since np.hypot and
+    np.arccos round some inputs differently; every other step is the same
+    IEEE operation, in the same order, as in _relate and _cos_overlap.
+    """
+    d = np.fromiter(map(math.hypot, (x[i] - x[j]).tolist(), (y[i] - y[j]).tolist()), float, len(i))
+    ra, rb = r[i], r[j]
+    total = ra + rb
+    # Later codes win, as the earlier branches of _relate do.
+    kind = np.full(len(d), _OVERLAPPING, np.int8)
+    kind[d > total + tol] = _DISJOINT
+    kind[np.abs(d - total) <= tol] = _TANGENT
+    kind[d <= np.abs(ra - rb) + tol] = _CONTAINED
+    over = kind == _OVERLAPPING
+    d_o, ra, rb = d[over], ra[over], rb[over]
+    u = (d_o * d_o - ra * ra - rb * rb) / (2.0 * ra * rb)
+    # max(-1.0, min(1.0, u)), NaN included: min keeps 1.0 unless u < 1.0,
+    # and max keeps -1.0 unless u > -1.0.
+    u = np.where(u < 1.0, u, 1.0)
+    u = np.where(u > -1.0, u, -1.0)
+    angle = np.zeros(len(d))
+    angle[over] = np.fromiter(map(math.acos, u.tolist()), float, len(u))
+    return kind, d, angle
 
 
 def _nested(a: Disk, b: Disk) -> InvalidConfigurationError:
     return InvalidConfigurationError(f"disk {a.id!r} and disk {b.id!r} are nested; not a configuration")
+
+
+def _check_configuration(disks: Sequence[Disk], meetings: _Meetings) -> None:
+    """Raise InvalidConfigurationError on the first nested pair."""
+    nested = meetings.kind == _CONTAINED
+    if nested.any():
+        k = int(nested.argmax())
+        raise _nested(disks[meetings.i[k]], disks[meetings.j[k]])
 
 
 def extract_contact_graph(ds: DiskSet, tol: float = 1e-9) -> LabeledContactGraph:
@@ -133,20 +236,21 @@ def extract_contact_graph(ds: DiskSet, tol: float = 1e-9) -> LabeledContactGraph
     pair raises InvalidConfigurationError.
     """
     disks = ds.disks
-    xs, ys, rs = _coordinates(disks)
-    edges = []
-    labels = {}
-    for i, j in _candidate_pairs(xs, ys, rs, tol):
-        kind, _, angle = _relate(xs[i] - xs[j], ys[i] - ys[j], rs[i], rs[j], tol)
-        if kind is PairKind.CONTAINED:
-            raise _nested(disks[i], disks[j])
-        if kind is not PairKind.DISJOINT:
-            # A tangent pair's angle is 0.0.
-            k = edge_key(disks[i].id, disks[j].id)
-            edges.append(k)
-            labels[k] = angle
-    edges.sort()
-    return LabeledContactGraph(Graph(ds.ids, tuple(edges)), labels)
+    ids = ds.ids
+    n = len(ids)
+    meetings = _meetings(*_coordinates(disks), tol)
+    _check_configuration(disks, meetings)
+    # rank[i] is the place of disk i's id in sorted order, so the edge keys
+    # (ids[u], ids[v]) sort as the pairs (rank[u], rank[v]).
+    rank = np.empty(n, np.intp)
+    rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    swap = rank[meetings.i] > rank[meetings.j]
+    u, v = np.where(swap, meetings.j, meetings.i), np.where(swap, meetings.i, meetings.j)
+    keys = list(zip(map(ids.__getitem__, u.tolist()), map(ids.__getitem__, v.tolist())))
+    # A tangent pair's angle is 0.0.
+    labels = dict(zip(keys, meetings.angle.tolist()))
+    edges = map(keys.__getitem__, np.argsort(rank[u] * n + rank[v], kind="stable").tolist())
+    return LabeledContactGraph(Graph(ids, tuple(edges)), labels)
 
 
 @dataclass(frozen=True)
@@ -177,56 +281,41 @@ def verify_realization(ds: DiskSet, lg: LabeledContactGraph, tol: float = 1e-9) 
     """
     if set(ds.ids) != set(lg.graph.vertices):
         raise InvalidInputError("disk ids and graph vertices must coincide")
-    keys = lg.graph.edge_keys()
     disks = sorted(ds.disks, key=lambda d: d.id)
-    coordinates = _coordinates(disks)
-    pairs = _candidate_pairs(*coordinates, tol)
-    defects, labeled = _pair_defects(disks, coordinates, pairs, lg.labels, tol)
-    if labeled < sum(1 for u, v in keys if u != v):
-        # A labeled pair whose disks lie far apart is no candidate; merge the
-        # labeled pairs in and check again.
-        index = {d.id: i for i, d in enumerate(disks)}
-        merged = set(pairs)
-        merged.update((index[u], index[v]) for u, v in keys if u != v)
-        defects, _ = _pair_defects(disks, coordinates, sorted(merged), lg.labels, tol)
-    return RealizationReport(not defects, tuple(defects))
-
-
-def _pair_defects(
-    disks: Sequence[Disk],
-    coordinates: tuple[list[float], list[float], list[float]],
-    pairs: Iterable[tuple[int, int]],
-    labels: Mapping[tuple[str, str], float],
-    tol: float,
-) -> tuple[list[Defect], int]:
-    """The defects of the index pairs, in their order, and how many of the
-    pairs are labeled edges.  disks are sorted by id, so pair (i, j), i < j,
-    has the edge key (disks[i].id, disks[j].id)."""
-    xs, ys, rs = coordinates
-    defects = []
+    ids = [d.id for d in disks]
+    labels = lg.labels
+    meetings = _meetings(*_coordinates(disks), tol)
+    # (i, j, defect); disks are sorted by id, so the pair (i, j), i < j, has
+    # the edge key (ids[i], ids[j]).
+    found = []
     labeled = 0
-    for i, j in pairs:
-        kind, distance, angle = _relate(xs[i] - xs[j], ys[i] - ys[j], rs[i], rs[j], tol)
-        k = (disks[i].id, disks[j].id)
+    i_s, j_s = meetings.i.tolist(), meetings.j.tolist()
+    kinds = map(_KINDS.__getitem__, meetings.kind.tolist())
+    for i, j, kind, distance, angle in zip(i_s, j_s, kinds, meetings.distance.tolist(), meetings.angle.tolist()):
+        k = (ids[i], ids[j])
         want = labels.get(k)
         if want is not None:
             labeled += 1
         if kind is PairKind.CONTAINED:
-            defects.append(Defect("nested-pair", k, f"center distance {distance!r}"))
+            found.append((i, j, Defect("nested-pair", k, f"center distance {distance!r}")))
         elif want is not None:
-            if angle is None:
-                defects.append(
-                    Defect("angle-mismatch", k, f"edge labeled {want!r} rad but the disks do not meet")
-                )
-            elif abs(angle - want) > tol:
-                defects.append(
-                    Defect("angle-mismatch", k, f"labeled {want!r} rad, realized {angle!r} rad")
-                )
-        elif kind is not PairKind.DISJOINT:
-            defects.append(
-                Defect("spurious-contact", k, f"unlabeled pair meets ({kind.value}, distance {distance!r})")
-            )
-    return defects, labeled
+            if abs(angle - want) > tol:
+                found.append((i, j, Defect("angle-mismatch", k, f"labeled {want!r} rad, realized {angle!r} rad")))
+        else:
+            found.append((i, j, Defect(
+                "spurious-contact", k, f"unlabeled pair meets ({kind.value}, distance {distance!r})"
+            )))
+    if labeled < sum(1 for u, v in labels if u != v):
+        # The other labeled pairs are disjoint, candidates or not.
+        index = {v: i for i, v in enumerate(ids)}
+        met = set(zip(i_s, j_s))
+        for (u, v), want in labels.items():
+            if u != v and (index[u], index[v]) not in met:
+                found.append((index[u], index[v], Defect(
+                    "angle-mismatch", (u, v), f"edge labeled {want!r} rad but the disks do not meet"
+                )))
+        found.sort(key=lambda item: item[:2])
+    return RealizationReport(not found, tuple(defect for _, _, defect in found))
 
 
 @dataclass(frozen=True)
@@ -252,30 +341,26 @@ def is_thin(ds: DiskSet, tol: float = 1e-9) -> ThinnessReport:
     """
     disks = ds.disks
     xs, ys, rs = _coordinates(disks)
+    meetings = _meetings(xs, ys, rs, tol)
+    _check_configuration(disks, meetings)
     zs = [complex(x, y) for x, y in zip(xs, ys)]
-    # later[i] maps each disk j after i in ds that meets disk i to the points
-    # where their boundaries meet.  A pair lies in up to two triangles of a
-    # planar contact graph, so its points are computed once, here.
+    # later[i] maps each disk j after i in ds that meets disk i, in increasing
+    # order, to the points where their boundaries meet.  A pair lies in up to
+    # two triangles of a planar contact graph, so its points are computed
+    # once, here.
     later = [{} for _ in disks]
-    for i, j in _candidate_pairs(xs, ys, rs, tol):
-        kind = _relate(xs[i] - xs[j], ys[i] - ys[j], rs[i], rs[j], tol)[0]
-        if kind is PairKind.CONTAINED:
-            raise _nested(disks[i], disks[j])
-        if kind is not PairKind.DISJOINT:
-            later[i][j] = _meeting_points(zs[i], rs[i], zs[j], rs[j], tol)
+    for i, j in zip(meetings.i.tolist(), meetings.j.tolist()):
+        later[i][j] = _meeting_points(zs[i], rs[i], zs[j], rs[j], tol)
     violations = []
     for i, above in enumerate(later):
         zi, ri = zs[i], rs[i]
-        for j in sorted(above):
+        for j, ij in above.items():
             after_j = later[j]
-            for k in sorted(above.keys() & after_j.keys()):
-                hit, witness = _triple_intersects(
-                    zi, ri, zs[j], rs[j], zs[k], rs[k], above[j], above[k], after_j[k], tol
-                )
-                if hit:
-                    violations.append(
-                        ThinnessViolation((disks[i].id, disks[j].id, disks[k].id), witness)
-                    )
+            for k, ik in above.items():
+                if k in after_j:
+                    hit, witness = _triple_intersects(zi, ri, zs[j], rs[j], zs[k], rs[k], ij, ik, after_j[k], tol)
+                    if hit:
+                        violations.append(ThinnessViolation((disks[i].id, disks[j].id, disks[k].id), witness))
     return ThinnessReport(not violations, tuple(violations))
 
 

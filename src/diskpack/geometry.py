@@ -29,7 +29,12 @@ ACOS_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class Disk:
-    """A closed disk with an opaque id, center (cx, cy) and radius r > 0."""
+    """A closed disk with an opaque id, center (cx, cy) and radius r > 0.
+
+    The center and radius are stored as floats, so that a pair of disks
+    gets the same float arithmetic in pair_relation and in the vectorized
+    pair analyses; an int beyond 2**53 is rounded here.
+    """
 
     id: str
     cx: float
@@ -41,6 +46,10 @@ class Disk:
             raise InvalidInputError(f"disk {self.id!r}: center and radius must be finite")
         if self.r <= 0:
             raise InvalidInputError(f"disk {self.id!r}: radius must be positive, got {self.r!r}")
+        if type(self.cx) is not float or type(self.cy) is not float or type(self.r) is not float:
+            object.__setattr__(self, "cx", float(self.cx))
+            object.__setattr__(self, "cy", float(self.cy))
+            object.__setattr__(self, "r", float(self.r))
 
     @property
     def center(self) -> complex:

@@ -30,6 +30,7 @@ from .errors import (
 from .geometry import Disk, edge_length, triangle_angle
 from .graph import (
     EmbeddedGraph,
+    LabeledContactGraph,
     edge_key,
     faces_from_rotation,
     is_triangulated,
@@ -69,18 +70,7 @@ class LayoutProblem:
         for v, r in self.boundary_radii.items():
             if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
                 raise InvalidInputError(f"boundary radius at {v!r} must be positive, got {r!r}")
-        keys = self.embedding.graph.edge_keys()
-        normalized = {}
-        for (u, v), theta in self.labels.items():
-            k = edge_key(u, v)
-            if k not in keys:
-                raise InvalidInputError(f"label on {k!r}, which is not an edge")
-            if not (math.isfinite(theta) and 0.0 <= theta < math.pi):
-                raise InvalidInputError(f"label on {k!r} must lie in [0, pi), got {theta!r}")
-            normalized[k] = float(theta)
-        for k in keys:
-            normalized.setdefault(k, 0.0)
-        object.__setattr__(self, "labels", normalized)
+        object.__setattr__(self, "labels", LabeledContactGraph(self.embedding.graph, self.labels).labels)
         object.__setattr__(self, "boundary_radii", dict(self.boundary_radii))
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise InvalidInputError(f"tol must be positive, got {self.tol!r}")

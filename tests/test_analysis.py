@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -459,7 +461,13 @@ def boundary_configurations(draw):
 
 class TestAgainstAllPairs:
     """The broad phase only drops disjoint pairs: every analysis returns
-    exactly what the all-pairs loops return, in the same order."""
+    exactly what the all-pairs loops return, in the same order.  Here every
+    set takes the dense box test; the subclass below runs the same tests on
+    the cell grid."""
+
+    @pytest.fixture(autouse=True)
+    def broad_phase(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_DENSE_MAX", 10**9)
 
     @settings(max_examples=300, deadline=None)
     @given(boundary_configurations())
@@ -517,6 +525,72 @@ class TestAgainstAllPairs:
         ds = DiskSet(tuple(Disk(f"t{k}", 2.0 * k, 0.0, 1.0) for k in range(n)))
         lg = labeled_pairs(ds, [(0, 1)] if n == 2 else [], [0.0])
         assert_matches_all_pairs(ds, lg, tol)
+
+    def test_integer_coordinates(self):
+        # A disk stores floats, so 2**60 + 1 becomes 2**60 and the first two
+        # disks are nested, for the pair analyses and the all-pairs loops alike.
+        ds = DiskSet((Disk("a", 2**60 + 1, 0, 1), Disk("b", 2**60, 0, 1), Disk("c", 2**60, 2, 1)))
+        lg = labeled_pairs(ds, [(0, 1), (1, 2)], [0.0, 0.0])
+        for tol in (0.0, 1e-9):
+            assert_matches_all_pairs(ds, lg, tol)
+        with pytest.raises(InvalidConfigurationError, match="'a' and disk 'b'"):
+            extract_contact_graph(ds)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_seeded_configurations(self, seed):
+        rng = random.Random(100 + seed)
+        tol = (0.0, 1e-9, 0.05)[seed]
+        n = rng.randrange(200, 401)
+        names = rng.sample(range(n), n)
+        # Radii spread over 100x, no nested pair, ids not in disk order.
+        disks = []
+        while len(disks) < n:
+            d = Disk(f"L{names[len(disks)]:03d}", rng.uniform(-60, 60), rng.uniform(-60, 60), rng.uniform(0.05, 5.0))
+            if all(frozen_pair_relation(d, e, tol).kind is not PairKind.CONTAINED for e in disks):
+                disks.append(d)
+        ds = DiskSet(tuple(disks))
+        contacts = [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if frozen_pair_relation(disks[i], disks[j], tol).kind is not PairKind.DISJOINT
+        ]
+        kept = [p for p in contacts if rng.random() < 0.8]
+        far = [(rng.randrange(n), rng.randrange(n)) for _ in range(5)]
+        lg = labeled_pairs(ds, kept + far, [rng.uniform(0.0, 3.0) for _ in range(len(kept) + len(far))])
+        assert_matches_all_pairs(ds, lg, tol)
+        # One disk nested in another.
+        inner = disks[0]
+        nested = DiskSet(ds.disks + (Disk("nested", inner.cx, inner.cy, inner.r / 2.0),))
+        assert_matches_all_pairs(nested, labeled_pairs(nested, kept, [0.0] * len(kept)), tol)
+
+    @pytest.mark.parametrize("disks", [
+        # Centers 2e308 apart: their differences overflow to inf.
+        (("a", -1e308, 0.0, 1.0), ("b", 1e308, 0.0, 1.0), ("c", 1e308, 5e307, 1e307),
+         ("d", 1e308, 7e307, 1e307), ("e", -1e308, 3.0, 1.0)),
+        # Radii near the largest float: the classification overflows too.
+        (("f", -1e308, -1.5e308, 1e308), ("g", 1e308, -1.5e308, 1e308), ("h", 0.0, 1e308, 1.0)),
+    ])
+    def test_centers_further_apart_than_the_largest_float(self, disks):
+        ds = DiskSet(tuple(Disk(*d) for d in disks))
+        n = len(ds)
+        lg = labeled_pairs(ds, [(0, 1), (n - 2, n - 3), (0, n - 1)], [0.0, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tol in (0.0, 1e-9):
+                assert_matches_all_pairs(ds, lg, tol)
+
+
+class TestAgainstAllPairsOnTheGrid(TestAgainstAllPairs):
+    """The same tests, with every set of two or more disks on the cell grid."""
+
+    @pytest.fixture(autouse=True)
+    def broad_phase(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_DENSE_MAX", 1)
+
+    # hypothesis runs each test function from one class only.
+    @settings(max_examples=300, deadline=None)
+    @given(boundary_configurations())
+    def test_boundary_configurations(self, case):
+        assert_matches_all_pairs(*case)
 
 
 @st.composite
@@ -600,13 +674,20 @@ class TestPairWorkScales:
     def test_pair_tests_grow_linearly(self, monkeypatch):
         ds = hex_lattice(55, 55)
         n = len(ds)
-        calls = []
+        classified = []
+        relates = []
         probes = []
         meets = []
-        relate, triple, meeting_points = geometry._relate, analysis._triple_intersects, geometry._meeting_points
+        classify, relate, triple, meeting_points = (
+            analysis._classify, geometry._relate, analysis._triple_intersects, geometry._meeting_points
+        )
 
-        def counted(*args):
-            calls.append(1)
+        def counted_classify(x, y, r, i, j, tol):
+            classified.append(len(i))
+            return classify(x, y, r, i, j, tol)
+
+        def counted_relate(*args):
+            relates.append(1)
             return relate(*args)
 
         def counted_triple(*args):
@@ -617,30 +698,52 @@ class TestPairWorkScales:
             meets.append(args[:4])
             return meeting_points(*args)
 
-        # The analyses reach the kernel through analysis; a classification
-        # inside the triple test would reach it through geometry.
-        monkeypatch.setattr(analysis, "_relate", counted)
-        monkeypatch.setattr(geometry, "_relate", counted)
+        # The analyses classify pairs in the pair stage only; a scalar
+        # classification, in the triple test or elsewhere, would reach the
+        # kernel through geometry.
+        monkeypatch.setattr(analysis, "_classify", counted_classify)
+        monkeypatch.setattr(geometry, "_relate", counted_relate)
         monkeypatch.setattr(analysis, "_triple_intersects", counted_triple)
         monkeypatch.setattr(analysis, "_meeting_points", counted_meeting_points)
         monkeypatch.setattr(geometry, "_meeting_points", counted_meeting_points)
         lg = extract_contact_graph(ds)
         assert len(lg.graph.edges) == 3 * 55 * 55 - 4 * 55 + 1
-        assert len(calls) <= 4 * n
-        calls.clear()
+        assert len(classified) == 1 and classified[0] <= 4 * n
+        classified.clear()
         assert verify_realization(ds, lg).ok
-        assert len(calls) <= 4 * n
-        calls.clear()
+        assert len(classified) == 1 and classified[0] <= 4 * n
+        classified.clear()
         assert is_thin(ds).thin
         # Each candidate pair is classified once, and the triangle loop, which
         # probes every triangle of the lattice, classifies none again.
-        assert len(calls) == len(analysis._candidate_pairs(*analysis._coordinates(ds.disks), 1e-9))
-        assert len(calls) <= 4 * n
+        x, y, r = (np.array(c) for c in analysis._coordinates(ds.disks))
+        assert classified == [len(analysis._candidates(x, y, r, 1e-9)[0])]
+        assert classified[0] <= 4 * n
+        assert relates == []
         assert len(probes) == 2 * 54 * 54
         # The points where two boundaries meet are computed at most once per
         # contact pair, though each inner edge lies in two probed triangles.
         assert len(meets) <= len(lg.graph.edges)
         assert len(set(meets)) == len(meets)
+
+    def test_crowded_cell_costs_no_memory(self):
+        # One disk of radius 200 makes cells 400 wide, so the whole lattice
+        # shares one or two cells and their pairs number about 4.25 million.
+        ds = DiskSet(hex_lattice(54, 54).disks + (Disk("big", -300.0, 0.0, 200.0),))
+        lg = extract_contact_graph(ds)
+        for analyze in (
+            lambda: extract_contact_graph(ds),
+            lambda: verify_realization(ds, lg),
+            lambda: is_thin(ds),
+        ):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                analyze()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - before < 16 * 2**20
 
 
 class TestSimilarityTransform:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_overlapping_triple, sampled_triple_hit, tangent_ray_angles
@@ -38,6 +39,11 @@ class TestDisk:
             Disk("a", math.nan, 0.0, 1.0)
         with pytest.raises(InvalidInputError):
             Disk("a", 0.0, math.inf, 1.0)
+
+    def test_fields_are_floats(self):
+        d = Disk("a", 2**60 + 1, True, np.float64(2.5))
+        assert [type(v) for v in (d.cx, d.cy, d.r)] == [float, float, float]
+        assert (d.cx, d.cy, d.r) == (2.0**60, 1.0, 2.5)
 
     def test_center_is_complex(self):
         assert Disk("a", 3.0, -4.0, 1.0).center == complex(3.0, -4.0)
