@@ -19,7 +19,7 @@ from .errors import (
     InvalidConfigurationError,
     InvalidInputError,
 )
-from .geometry import Disk, PairKind, _meeting_points, _triple_intersects
+from .geometry import _HI, _LO, Disk, PairKind, _meeting_points, _triple_intersects
 from .graph import Graph, LabeledContactGraph
 
 
@@ -206,6 +206,12 @@ def _classify(
     kind[d <= np.abs(ra - rb) + tol] = _CONTAINED
     over = kind == _OVERLAPPING
     d_o, ra, rb = d[over], ra[over], rb[over]
+    # Pairs with a radius out of range run scaled, as in geometry._cos_overlap.
+    if len(r) and not _LO <= r.min() <= r.max() <= _HI:
+        out = (np.minimum(ra, rb) < _LO) | (np.maximum(ra, rb) > _HI)
+        e = np.clip(-((np.frexp(ra)[1] + np.frexp(rb)[1]) >> 1), -1022, 1023)
+        s = np.where(out, np.ldexp(1.0, e), 1.0)
+        d_o, ra, rb = d_o * s, ra * s, rb * s
     u = (d_o * d_o - ra * ra - rb * rb) / (2.0 * ra * rb)
     # max(-1.0, min(1.0, u)), NaN included: min keeps 1.0 unless u < 1.0,
     # and max keeps -1.0 unless u > -1.0.
@@ -495,8 +501,9 @@ def rigidity_jacobian(ds: DiskSet, lg: LabeledContactGraph, pinned: Iterable[str
     """
     pinned = frozenset(pinned)
     unknown_ids = tuple(i for i in sorted(ds.ids) if i not in pinned)
+    known = set(ds.ids)
     for p in pinned:
-        if p not in set(ds.ids):
+        if p not in known:
             raise InvalidInputError(f"pinned id {p!r} is not in the disk set")
     col = {i: 3 * k for k, i in enumerate(unknown_ids)}
     edges = sorted(lg.graph.edge_keys())

@@ -26,6 +26,17 @@ from .errors import (
 # as genuinely invalid rather than roundoff on the boundary.
 ACOS_SLACK = 1e-12
 
+# The pair formulas square their lengths.  Radii in [_LO, _HI] keep those
+# squares and products finite and normal for disks that can meet.  A pair with
+# a radius outside runs on its lengths scaled by a power of two, which is
+# exact, so the results for pairs inside stay as they are.
+_LO, _HI = 2.0 ** -500, 2.0 ** 500
+
+
+def _power_of_two(e: int) -> float:
+    # 2**e, clamped to the normal floats so that it neither raises nor rounds.
+    return math.ldexp(1.0, max(-1022, min(1023, e)))
+
 
 @dataclass(frozen=True)
 class Disk:
@@ -82,6 +93,10 @@ def center_distance(a: Disk, b: Disk) -> float:
 
 def _cos_overlap(a_r: float, b_r: float, d: float) -> float:
     # Law of cosines at an intersection point, flipped to the tangent rays.
+    if not (_LO <= a_r <= _HI and _LO <= b_r <= _HI):
+        # Radii scaled to a product near 1, so the denominator is never 0.
+        s = _power_of_two(-((math.frexp(a_r)[1] + math.frexp(b_r)[1]) >> 1))
+        a_r, b_r, d = a_r * s, b_r * s, d * s
     return (d * d - a_r * a_r - b_r * b_r) / (2.0 * a_r * b_r)
 
 
@@ -187,9 +202,16 @@ def _meeting_points(za: complex, ra: float, zb: complex, rb: float, tol: float) 
     if d > ra + rb + tol or d < abs(ra - rb) - tol:
         return []
     ex = delta / d
+    s = 1.0
+    if not (_LO <= ra <= _HI and _LO <= rb <= _HI):
+        # The largest length scaled into [0.5, 1), so no square overflows.
+        s = _power_of_two(-math.frexp(max(ra, rb, d))[1])
+        ra, rb, d = ra * s, rb * s, d * s
     x = (d * d + ra * ra - rb * rb) / (2.0 * d)
     h2 = ra * ra - x * x
     h = math.sqrt(h2) if h2 > 0.0 else 0.0
+    if s != 1.0:
+        x, h = x / s, h / s
     base = za + x * ex
     if h == 0.0:
         return [base]

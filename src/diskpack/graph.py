@@ -250,15 +250,23 @@ def is_triangulated(eg: EmbeddedGraph, outer_edge: Optional[tuple[str, str]] = N
     boundary.  With neither, any single face may play the outer role, so the
     embedding passes iff at most one face is not a triangle.
     """
+    return triangulation(eg, outer_edge)[2]
+
+
+def triangulation(
+    eg: EmbeddedGraph, outer_edge: Optional[tuple[str, str]] = None
+) -> tuple[FaceDecomposition, Optional[int], bool]:
+    """is_triangulated with its one face trace kept: the faces, the outer face's
+    index (None when nothing names it) and the verdict."""
     decomp = faces_from_rotation(eg)
     if not decomp.ok:
         raise InvalidInputError(
             f"rotation system is not planar (Euler characteristic {decomp.characteristic})"
         )
     if outer_edge is None and not eg.boundary:
-        return sum(1 for f in decomp.faces if len(f) != 3) <= 1
+        return decomp, None, sum(1 for f in decomp.faces if len(f) != 3) <= 1
     outer = outer_face_index(eg, decomp, outer_edge)
-    return all(len(f) == 3 for i, f in enumerate(decomp.faces) if i != outer)
+    return decomp, outer, all(len(f) == 3 for i, f in enumerate(decomp.faces) if i != outer)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ The radius step enforces the flat-angle condition: around every interior
 vertex the incident triangle angles must sum to exactly 2*pi.  Radii are
 solved by Gauss-Seidel sweeps with a monotone bisection per vertex, which
 is slow but dependable at desk scale; centers are then placed by walking
-the interior faces outward from a root edge.
+the interior faces outward from a root edge.  Both steps read what a
+LayoutProblem compiles once, when it is built: the faces from the one trace
+that checks the triangulation, and each interior vertex's fan.  Every angle
+sum comes from one kernel, _fan_angle_sum.
 
 Labels above pi/2 leave the regime where the per-vertex angle sum is
 guaranteed monotone in the radius, so the solver warns and degrades to
@@ -17,7 +20,7 @@ import math
 import warnings as _warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .analysis import DiskSet
 from .errors import (
@@ -27,15 +30,8 @@ from .errors import (
     NonConvergenceError,
     UnsupportedInputError,
 )
-from .geometry import Disk, edge_length, triangle_angle
-from .graph import (
-    EmbeddedGraph,
-    LabeledContactGraph,
-    edge_key,
-    faces_from_rotation,
-    is_triangulated,
-    outer_face_index,
-)
+from .geometry import ACOS_SLACK, Disk, edge_length
+from .graph import EmbeddedGraph, FaceDecomposition, LabeledContactGraph, edge_key, triangulation
 
 _TWO_PI = 2.0 * math.pi
 
@@ -52,6 +48,11 @@ class LayoutProblem:
     Every boundary vertex needs a positive radius; labels default to 0
     (tangency) on unlabeled edges.  tol is the angle-sum residual target in
     radians and max_iter caps the number of Gauss-Seidel sweeps.
+
+    Construction compiles the rest: `faces` and `outer_face` from the face
+    trace that checks the triangulation, the sorted `interior_vertices`, and
+    their `fans`: each one's rotation and the cosines of the labels on its
+    spokes (to rotation[i]) and rim (rotation[i] to rotation[i + 1]).
     """
 
     embedding: EmbeddedGraph
@@ -59,11 +60,16 @@ class LayoutProblem:
     labels: Mapping[tuple[str, str], float] = field(default_factory=dict)
     tol: float = 1e-10
     max_iter: int = 100_000
+    faces: FaceDecomposition = field(init=False, repr=False, compare=False)
+    outer_face: int = field(init=False, repr=False, compare=False)
+    interior_vertices: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    fans: dict[str, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.embedding.boundary:
             raise InvalidInputError("layout needs a nonempty boundary")
-        if not is_triangulated(self.embedding):
+        faces, outer, triangulated = triangulation(self.embedding)
+        if not triangulated:
             raise InvalidInputError("layout needs a triangulated embedding")
         if set(self.boundary_radii) != set(self.embedding.boundary):
             raise InvalidInputError("boundary_radii must cover exactly the boundary vertices")
@@ -76,10 +82,16 @@ class LayoutProblem:
             raise InvalidInputError(f"tol must be positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise InvalidInputError(f"max_iter must be at least 1, got {self.max_iter!r}")
-
-    @property
-    def interior_vertices(self) -> tuple[str, ...]:
-        return tuple(v for v in sorted(self.embedding.graph.vertices) if v not in self.embedding.boundary)
+        fans = {}
+        for v in sorted(set(self.embedding.graph.vertices) - self.embedding.boundary):
+            rot = self.embedding.rotation[v]
+            spoke_cos = tuple(math.cos(self.labels[edge_key(v, u)]) for u in rot)
+            rim_cos = tuple(math.cos(self.labels[edge_key(u, w)]) for u, w in zip(rot, rot[1:] + rot[:1]))
+            fans[v] = rot, spoke_cos, rim_cos
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "outer_face", outer)
+        object.__setattr__(self, "interior_vertices", tuple(fans))
+        object.__setattr__(self, "fans", fans)
 
 
 @dataclass(frozen=True)
@@ -92,32 +104,55 @@ class RadiiSolution:
     warnings: tuple[str, ...] = ()
 
 
+def _check_radii(radii: Mapping[str, float], vertices: Iterable[str]) -> None:
+    for v in vertices:
+        r = radii.get(v)
+        if r is None or not (math.isfinite(r) and r > 0):
+            raise InvalidInputError(f"radius at {v!r} must be given, positive and finite, got {r!r}")
+
+
 def angle_sum(v: str, radii: Mapping[str, float], problem: LayoutProblem) -> float:
-    """Sum of the triangle angles at interior vertex v under these radii."""
-    if v in problem.embedding.boundary:
-        raise InvalidInputError(f"angle sums are defined at interior vertices; {v!r} is boundary")
-    if v not in problem.embedding.rotation:
+    """Sum of the triangle angles at interior vertex v under these radii.
+
+    Reads the radii of v and its neighbors; a missing, non-finite or
+    nonpositive one raises InvalidInputError.  DegenerateTriangleError names
+    the first face, in rotation order, flat beyond ACOS_SLACK, or reports a
+    side that under- or overflows.
+    """
+    fan = problem.fans.get(v)
+    if fan is None:
+        if v in problem.embedding.boundary:
+            raise InvalidInputError(f"angle sums are defined at interior vertices; {v!r} is boundary")
         raise InvalidInputError(f"unknown vertex {v!r}")
-    rot = problem.embedding.rotation[v]
-    labels = problem.labels
-    r_v = radii[v]
-    total = 0.0
-    k = len(rot)
-    for i in range(k):
-        u, w = rot[i], rot[(i + 1) % k]
-        a = edge_length(r_v, radii[u], labels[edge_key(v, u)])
-        b = edge_length(r_v, radii[w], labels[edge_key(v, w)])
-        opp = edge_length(radii[u], radii[w], labels[edge_key(u, w)])
-        try:
-            total += triangle_angle(opp, a, b)
-        except DegenerateTriangleError as exc:
-            raise DegenerateTriangleError(f"face ({v}, {u}, {w}) is degenerate at these radii") from exc
+    rot, spoke_cos, rim_cos = fan
+    _check_radii(radii, (v, *rot))
+    ru, opp2 = _fan_radii(rot, rim_cos, radii)
+    try:
+        total, flat = _fan_angle_sum(radii[v], ru, spoke_cos, opp2)
+    except ZeroDivisionError:
+        total, flat = math.nan, None
+    if math.isnan(total):
+        raise DegenerateTriangleError(f"a side of a face at {v!r} under- or overflows at these radii")
+    if flat is not None:
+        raise DegenerateTriangleError(f"face ({v}, {rot[flat]}, {rot[(flat + 1) % len(rot)]}) is degenerate at these radii")
     return total
 
 
-def _fan_angle_sum(r: float, ru: list[float], spoke_cos: list[float], opp2: list[float]) -> float:
-    # Clamped variant for the solver: a flat triangle saturates at 0 or pi
-    # instead of raising, which keeps bisection brackets well defined.
+def _fan_radii(rot: tuple[str, ...], rim_cos: tuple[float, ...], radii: Mapping[str, float]) -> tuple[list, list]:
+    # The spoke radii of a fan and the squared lengths of its rim edges.
+    ru = [radii[u] for u in rot]
+    k = len(ru)
+    opp2 = [0.0] * k
+    for i in range(k):
+        j = i + 1 if i + 1 < k else 0
+        opp2[i] = ru[i] * ru[i] + ru[j] * ru[j] + 2.0 * ru[i] * ru[j] * rim_cos[i]
+    return ru, opp2
+
+
+def _fan_angle_sum(r: float, ru: list[float], spoke_cos: tuple[float, ...], opp2: list[float]) -> tuple[float, Optional[int]]:
+    # The angle sum at a hub of radius r, and the index in rotation order of
+    # the first face flat beyond ACOS_SLACK, or None.  A flat face saturates at
+    # 0 or pi instead of raising, which keeps bisection brackets well defined.
     k = len(ru)
     a2 = [0.0] * k
     a = [0.0] * k
@@ -127,22 +162,24 @@ def _fan_angle_sum(r: float, ru: list[float], spoke_cos: list[float], opp2: list
         a2[i] = t
         a[i] = math.sqrt(t)
     total = 0.0
+    flat = None
     for i in range(k):
         j = i + 1 if i + 1 < k else 0
         u = (a2[i] + a2[j] - opp2[i]) / (2.0 * a[i] * a[j])
-        if u >= 1.0:
-            continue
-        if u <= -1.0:
-            total += math.pi
+        if u >= 1.0 or u <= -1.0:
+            if flat is None and abs(u) > 1.0 + ACOS_SLACK:
+                flat = i
+            if u < 0.0:
+                total += math.pi
         else:
             total += math.acos(u)
-    return total
+    return total, flat
 
 
 def _solve_vertex(
     r: float,
     ru: list[float],
-    spoke_cos: list[float],
+    spoke_cos: tuple[float, ...],
     opp2: list[float],
     angle_stop: float,
     span: float,
@@ -151,14 +188,14 @@ def _solve_vertex(
     # half-width hint for the initial bracket (how far the root moved last
     # sweep); `angle_stop` is the angle spread at which the bracket is
     # considered solved.
-    f = _fan_angle_sum(r, ru, spoke_cos, opp2)
+    f = _fan_angle_sum(r, ru, spoke_cos, opp2)[0]
     if abs(f - _TWO_PI) <= 0.25 * angle_stop:
         return r
     if f > _TWO_PI:
         lo, flo = r, f
         step = 1.0 + span
         hi = r * step
-        fhi = _fan_angle_sum(hi, ru, spoke_cos, opp2)
+        fhi = _fan_angle_sum(hi, ru, spoke_cos, opp2)[0]
         while fhi >= _TWO_PI:
             lo, flo = hi, fhi
             step = min(step * step, 1e16)
@@ -167,12 +204,12 @@ def _solve_vertex(
                 raise NonConvergenceError(
                     "angle-sum equation has no root: sum stays above 2*pi", flo - _TWO_PI, 0
                 )
-            fhi = _fan_angle_sum(hi, ru, spoke_cos, opp2)
+            fhi = _fan_angle_sum(hi, ru, spoke_cos, opp2)[0]
     else:
         hi, fhi = r, f
         step = 1.0 + span
         lo = r / step
-        flo = _fan_angle_sum(lo, ru, spoke_cos, opp2)
+        flo = _fan_angle_sum(lo, ru, spoke_cos, opp2)[0]
         while flo <= _TWO_PI:
             hi, fhi = lo, flo
             step = min(step * step, 1e16)
@@ -181,12 +218,12 @@ def _solve_vertex(
                 raise NonConvergenceError(
                     "angle-sum equation has no root: sum stays below 2*pi", _TWO_PI - fhi, 0
                 )
-            flo = _fan_angle_sum(lo, ru, spoke_cos, opp2)
+            flo = _fan_angle_sum(lo, ru, spoke_cos, opp2)[0]
     while flo - fhi > angle_stop:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        fm = _fan_angle_sum(mid, ru, spoke_cos, opp2)
+        fm = _fan_angle_sum(mid, ru, spoke_cos, opp2)[0]
         if fm > _TWO_PI:
             lo, flo = mid, fm
         else:
@@ -202,11 +239,9 @@ def solve_radii(problem: LayoutProblem, initial: Optional[Mapping[str, float]] =
     angle-sum residual drops to problem.tol, raising NonConvergenceError
     (with the best residual seen) once max_iter sweeps are spent.
     """
-    emb = problem.embedding
-    labels = problem.labels
-    radii = {v: float(problem.boundary_radii[v]) for v in emb.boundary}
+    radii = {v: float(r) for v, r in problem.boundary_radii.items()}
     warn_list: list[str] = []
-    if any(theta > math.pi / 2 + 1e-12 for theta in labels.values()):
+    if any(theta > math.pi / 2 + 1e-12 for theta in problem.labels.values()):
         warn_list.append(HIGH_LABEL_WARNING)
         _warnings.warn(HIGH_LABEL_WARNING)
     interior = problem.interior_vertices
@@ -219,40 +254,22 @@ def solve_radii(problem: LayoutProblem, initial: Optional[Mapping[str, float]] =
     if not interior:
         return RadiiSolution(radii, 0.0, 0, tuple(warn_list))
 
-    fans = []
-    for v in interior:
-        rot = emb.rotation[v]
-        k = len(rot)
-        spoke_cos = [math.cos(labels[edge_key(v, u)]) for u in rot]
-        rim_cos = [math.cos(labels[edge_key(rot[i], rot[(i + 1) % k])]) for i in range(k)]
-        fans.append((v, rot, spoke_cos, rim_cos))
-
     floor_stop = max(problem.tol / 32.0, 1e-15)
-    spans = {v: 0.5 for v, *_ in fans}
+    spans = dict.fromkeys(interior, 0.5)
     best = math.inf
     residual = math.inf
     for sweep in range(1, problem.max_iter + 1):
         angle_stop = max(residual * 1e-2, floor_stop) if math.isfinite(residual) else 1e-4
-        for v, rot, spoke_cos, rim_cos in fans:
-            ru = [radii[u] for u in rot]
-            k = len(ru)
-            opp2 = [0.0] * k
-            for i in range(k):
-                j = i + 1 if i + 1 < k else 0
-                opp2[i] = ru[i] * ru[i] + ru[j] * ru[j] + 2.0 * ru[i] * ru[j] * rim_cos[i]
+        for v, (rot, spoke_cos, rim_cos) in problem.fans.items():
+            ru, opp2 = _fan_radii(rot, rim_cos, radii)
             old = radii[v]
             new = _solve_vertex(old, ru, spoke_cos, opp2, angle_stop, spans[v])
             radii[v] = new
             spans[v] = max(8.0 * abs(new - old) / new, 1e-12)
         residual = 0.0
-        for v, rot, spoke_cos, rim_cos in fans:
-            ru = [radii[u] for u in rot]
-            k = len(ru)
-            opp2 = [0.0] * k
-            for i in range(k):
-                j = i + 1 if i + 1 < k else 0
-                opp2[i] = ru[i] * ru[i] + ru[j] * ru[j] + 2.0 * ru[i] * ru[j] * rim_cos[i]
-            residual = max(residual, abs(_fan_angle_sum(radii[v], ru, spoke_cos, opp2) - _TWO_PI))
+        for v, (rot, spoke_cos, rim_cos) in problem.fans.items():
+            ru, opp2 = _fan_radii(rot, rim_cos, radii)
+            residual = max(residual, abs(_fan_angle_sum(radii[v], ru, spoke_cos, opp2)[0] - _TWO_PI))
         best = min(best, residual)
         if residual <= problem.tol:
             for v in interior:
@@ -275,26 +292,14 @@ def place_centers(problem: LayoutProblem, radii: Mapping[str, float]) -> tuple[D
     walk returns to an already placed vertex.
     """
     emb = problem.embedding
-    decomp = faces_from_rotation(emb)
-    outer = outer_face_index(emb, decomp)
-    face_of = decomp.face_index()
-    labels = problem.labels
-
-    lengths = {k: edge_length(radii[k[0]], radii[k[1]], theta) for k, theta in labels.items()}
-
-    interior_edges = sorted(de for de, f in face_of.items() if f != outer)
-    pos: dict[str, complex] = {}
-    if not interior_edges:
-        if len(emb.graph.vertices) == 2:
-            u0, v0 = sorted(emb.graph.vertices)
-            pos[u0] = 0j
-            pos[v0] = complex(lengths[edge_key(u0, v0)], 0.0)
-            disks = DiskSet(tuple(Disk(v, pos[v].real, pos[v].imag, float(radii[v])) for v in emb.graph.vertices))
-            return disks, 0.0
-        raise UnsupportedInputError("no interior face to start the walk from")
-    u0, v0 = interior_edges[0]
-    pos[u0] = 0j
-    pos[v0] = complex(lengths[edge_key(u0, v0)], 0.0)
+    _check_radii(radii, emb.graph.vertices)
+    faces, face_of = problem.faces.faces, problem.faces.face_index()
+    outer = problem.outer_face
+    lengths = {k: edge_length(radii[k[0]], radii[k[1]], theta) for k, theta in problem.labels.items()}
+    interior_edges = [de for de, f in face_of.items() if f != outer]
+    # Without an interior face, as for a lone edge, only the root edge is placed.
+    u0, v0 = min(interior_edges or face_of)
+    pos = {u0: 0j, v0: complex(lengths[edge_key(u0, v0)], 0.0)}
 
     closure = 0.0
     seen = {outer}
@@ -304,7 +309,7 @@ def place_centers(problem: LayoutProblem, radii: Mapping[str, float]) -> tuple[D
         if fidx in seen:
             continue
         seen.add(fidx)
-        face = decomp.faces[fidx]
+        face = faces[fidx]
         w = next(x for x, _ in face if x != u and x != v)
         base = pos[v] - pos[u]
         d = abs(base)

@@ -746,6 +746,51 @@ class TestPairWorkScales:
             assert peak - before < 16 * 2**20
 
 
+class TestExtremeScalesInThePairStage:
+    """Near 1e-170 or 1e170 the squares in the pair formulas leave the float
+    range; the pair stage then scales each such pair by a power of two, as
+    pair_relation does."""
+
+    def test_tiny_pair_in_the_dense_stage(self):
+        a, b = Disk("a", 0.0, 0.0, 1e-170), Disk("b", 1.5e-170, 0.0, 1e-170)
+        lg = extract_contact_graph(DiskSet((a, b)), 0.0)
+        assert lg.labels == {("a", "b"): pair_relation(a, b, 0.0).angle}
+        assert lg.labels[("a", "b")] == pytest.approx(math.acos(0.125), rel=1e-15)
+        assert verify_realization(DiskSet((a, b)), lg, 0.0).ok
+
+    @pytest.mark.parametrize("dense_max", [1, 10**9])
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600])
+    def test_scaled_lattice_reads_as_at_scale_one(self, monkeypatch, dense_max, scale):
+        # 144 unit disks 1.7 apart: every neighbor pair crosses, and every
+        # lattice triangle shares a point.
+        monkeypatch.setattr(analysis, "_DENSE_MAX", dense_max)
+        ds = DiskSet(tuple(
+            Disk(f"h{i:02d}_{j:02d}", 1.7 * (j + 0.5 * (i % 2)), 1.7 * math.sqrt(0.75) * i, 1.0)
+            for i in range(12)
+            for j in range(12)
+        ))
+        scaled = DiskSet(tuple(Disk(d.id, d.cx * scale, d.cy * scale, d.r * scale) for d in ds))
+        lg = extract_contact_graph(ds, 0.0)
+        assert len(lg.graph.edges) == 3 * 12 * 12 - 4 * 12 + 1
+        assert extract_contact_graph(scaled, 0.0) == lg
+        assert verify_realization(scaled, lg, 0.0).ok
+        thin, scaled_thin = is_thin(ds, 0.0), is_thin(scaled, 0.0)
+        assert len(thin.violations) == 2 * 11 * 11
+        assert [v.ids for v in scaled_thin.violations] == [v.ids for v in thin.violations]
+        assert [v.witness for v in scaled_thin.violations] == [v.witness * scale for v in thin.violations]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
+    def test_tight_trio_shares_a_point_at_every_scale(self, scale):
+        side = 2.0 * scale
+        ds = DiskSet(tuple(
+            Disk(k, x, y, 1.2 * scale)
+            for k, x, y in (("a", 0.0, 0.0), ("b", side, 0.0), ("c", side / 2.0, side * math.sqrt(0.75)))
+        ))
+        report = is_thin(ds, 0.0)
+        assert not report.thin
+        assert [v.ids for v in report.violations] == [("a", "b", "c")]
+
+
 class TestSimilarityTransform:
     def test_apply_is_scale_rotate_translate(self):
         t = SimilarityTransform(2.0, math.pi / 2.0, False, complex(1.0, 0.0))

@@ -109,6 +109,43 @@ class TestPairRelation:
             assert rel.distance == pytest.approx(d, abs=1e-15)
 
 
+class TestExtremeScales:
+    """Lengths near 1e-170 or 1e170 square out of the float range; the pair
+    formulas then run on lengths scaled by a power of two."""
+
+    def test_tiny_crossing_pair_has_its_angle(self):
+        a, b = Disk("a", 0.0, 0.0, 1e-170), Disk("b", 1.5e-170, 0.0, 1e-170)
+        rel = pair_relation(a, b, 0.0)
+        assert rel.kind is PairKind.OVERLAPPING
+        assert rel.angle == pytest.approx(math.acos(0.125), rel=1e-15)
+        assert overlap_angle(a, b) == rel.angle
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**-520, 2.0**520, 2.0**600])
+    def test_power_of_two_scale_changes_nothing(self, scale):
+        rng = random.Random(61)
+        for _ in range(200):
+            ra, rb = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+            a = Disk("a", rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), ra)
+            b = Disk("b", rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rb)
+            sa, sb = (Disk(d.id, d.cx * scale, d.cy * scale, d.r * scale) for d in (a, b))
+            rel, scaled = pair_relation(a, b, 0.0), pair_relation(sa, sb, 0.0)
+            assert scaled.kind is rel.kind
+            assert scaled.angle == rel.angle
+            assert boundary_meeting_points(sa, sb, 0.0) == [p * scale for p in boundary_meeting_points(a, b, 0.0)]
+
+    def test_tiny_meeting_points(self):
+        pts = boundary_meeting_points(Disk("a", 0.0, 0.0, 1e-170), Disk("b", 1.5e-170, 0.0, 1e-170), 0.0)
+        assert len(pts) == 2
+        for p, want in zip(pts, (complex(0.75, math.sqrt(0.4375)), complex(0.75, -math.sqrt(0.4375)))):
+            assert abs(p / 1e-170 - want) <= 1e-15
+
+    def test_huge_crossing_pair_has_its_angle(self):
+        # The squared distance overflows while the product of the radii does not.
+        a, b = Disk("a", 0.0, 0.0, 1.5e154), Disk("b", 1.8e154, 0.0, 5e153)
+        want = math.acos((1.8**2 - 1.5**2 - 0.5**2) / (2.0 * 1.5 * 0.5))
+        assert pair_relation(a, b, 0.0).angle == pytest.approx(want, rel=1e-14)
+
+
 class TestOverlapAngle:
     def test_matches_tangent_ray_measurement(self):
         # independent construction: intersection points plus outward rays

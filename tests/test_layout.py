@@ -4,8 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_patch, wheel_embedding, wheel_problem
+from conftest import doc_text, random_patch, wheel_doc, wheel_embedding, wheel_problem
+from diskpack import graph as graphmod
+from diskpack import layout as layoutmod
 from diskpack import (
     DegenerateTriangleError,
     Disk,
@@ -20,6 +24,7 @@ from diskpack import (
     extract_contact_graph,
     pack,
     place_centers,
+    read_graph,
     rotation_from_positions,
     solve_radii,
     verify_realization,
@@ -118,6 +123,64 @@ class TestAngleSum:
         radii = {v: 1.0 for v in problem.embedding.graph.vertices}
         with pytest.raises(DegenerateTriangleError, match="face"):
             angle_sum("hub", radii, problem)
+
+    def test_first_flat_face_in_rotation_order_is_named(self):
+        theta = math.radians(170.0)
+        labels = {("hub", b): theta for b in ("b0", "b1", "b3", "b4")}
+        problem = wheel_problem(6, labels=labels)
+        radii = {v: 1.0 for v in problem.embedding.graph.vertices}
+        with pytest.raises(DegenerateTriangleError, match=r"face \(hub, b0, b1\)"):
+            angle_sum("hub", radii, problem)
+
+    def test_missing_radius_names_the_vertex(self):
+        problem = wheel_problem(6)
+        with pytest.raises(InvalidInputError, match="'hub'"):
+            angle_sum("hub", {}, problem)
+        radii = {v: 1.0 for v in problem.embedding.graph.vertices}
+        del radii["b4"]
+        with pytest.raises(InvalidInputError, match="'b4'"):
+            angle_sum("hub", radii, problem)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_radius_names_the_vertex(self, bad):
+        problem = wheel_problem(6)
+        vertices = problem.embedding.graph.vertices
+        with pytest.raises(InvalidInputError, match="'hub'"):
+            angle_sum("hub", {v: bad for v in vertices}, problem)
+        radii = {v: 1.0 for v in vertices}
+        radii["b2"] = bad
+        with pytest.raises(InvalidInputError, match="'b2'"):
+            angle_sum("hub", radii, problem)
+
+    @pytest.mark.parametrize("r", [1e-170, 1e170])
+    def test_sides_out_of_float_range_raise(self, r):
+        # The squared sides under- or overflow, so no angle can be read.
+        problem = wheel_problem(6)
+        with pytest.raises(DegenerateTriangleError, match="'hub'"):
+            angle_sum("hub", {v: r for v in problem.embedding.graph.vertices}, problem)
+
+    def test_reads_only_its_own_fan(self):
+        problem = random_patch(random.Random(12), 24)
+        radii = solve_radii(problem).radii
+        for v in problem.interior_vertices:
+            fan = {v, *problem.embedding.rotation[v]}
+            assert len(fan) < len(radii)
+            own = {u: r for u, r in radii.items() if u in fan}
+            own["elsewhere"] = math.nan
+            assert angle_sum(v, own, problem) == angle_sum(v, radii, problem)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(6, 24))
+    @example(0, 8)
+    def test_residual_is_the_worst_angle_sum_exactly(self, seed, n):
+        # One kernel computes both, so they agree bit for bit.
+        problem = random_patch(random.Random(seed), n)
+        solution = solve_radii(problem)
+        worst = max(
+            (abs(angle_sum(v, solution.radii, problem) - 2.0 * math.pi) for v in problem.interior_vertices),
+            default=0.0,
+        )
+        assert worst == solution.residual
 
 
 class TestSolveRadii:
@@ -274,6 +337,58 @@ class TestPlaceCenters:
         problem = LayoutProblem(emb, {v: 1.0 for v in g.vertices})
         with pytest.raises(UnsupportedInputError):
             place_centers(problem, {v: 1.0 for v in g.vertices})
+
+    def test_path_of_three_unsupported(self):
+        # Its one face is the outer face, so no face walk reaches c.
+        g = Graph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+        emb = EmbeddedGraph(g, {"a": ("b",), "b": ("a", "c"), "c": ("b",)}, frozenset("abc"))
+        problem = LayoutProblem(emb, {v: 1.0 for v in "abc"})
+        with pytest.raises(UnsupportedInputError, match="do not connect all vertices"):
+            place_centers(problem, {v: 1.0 for v in "abc"})
+
+    def test_missing_radius_names_the_vertex(self):
+        problem = wheel_problem(6)
+        with pytest.raises(InvalidInputError, match="'hub'"):
+            place_centers(problem, {})
+        radii = solve_radii(problem).radii
+        del radii["b3"]
+        with pytest.raises(InvalidInputError, match="'b3'"):
+            place_centers(problem, radii)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -2.0])
+    def test_bad_radius_names_the_vertex(self, bad):
+        problem = wheel_problem(6)
+        radii = solve_radii(problem).radii
+        radii["b5"] = bad
+        with pytest.raises(InvalidInputError, match="'b5'"):
+            place_centers(problem, radii)
+
+
+class TestCompiledProblem:
+    def test_one_face_trace_from_document_to_disks(self, monkeypatch):
+        calls = []
+        trace = graphmod.faces_from_rotation
+
+        def counted(eg):
+            calls.append(eg)
+            return trace(eg)
+
+        # Every module that could reach the trace, under the name it would use.
+        monkeypatch.setattr(graphmod, "faces_from_rotation", counted)
+        monkeypatch.setattr(layoutmod, "faces_from_rotation", counted, raising=False)
+        problem = read_graph(doc_text(wheel_doc(6))).to_layout_problem()
+        disks, closure = place_centers(problem, solve_radii(problem).radii)
+        assert len(disks) == 7
+        assert len(calls) == 1
+
+    def test_fans_follow_the_rotation_and_labels(self):
+        theta = math.radians(30.0)
+        problem = wheel_problem(5, labels={("hub", "b1"): theta, ("b1", "b2"): theta})
+        rotation, spoke_cos, rim_cos = problem.fans["hub"]
+        assert rotation == problem.embedding.rotation["hub"] == ("b0", "b1", "b2", "b3", "b4")
+        assert spoke_cos == (1.0, math.cos(theta), 1.0, 1.0, 1.0)
+        assert rim_cos == (1.0, math.cos(theta), 1.0, 1.0, 1.0)
+        assert list(problem.fans) == list(problem.interior_vertices) == ["hub"]
 
 
 class TestPack:
