@@ -19,7 +19,7 @@ from .errors import (
     InvalidConfigurationError,
     InvalidInputError,
 )
-from .geometry import _HI, _LO, Disk, PairKind, _meeting_points, _triple_intersects
+from .geometry import _HI, _LO, Disk, PairKind, _cos_overlap, _meeting_points, _triple_intersects
 from .graph import Graph, LabeledContactGraph
 
 
@@ -141,26 +141,15 @@ def _candidates(x: np.ndarray, y: np.ndarray, r: np.ndarray, tol: float) -> tupl
     key += np.floor((y * scale - y0 * scale) / side).astype(np.int64)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    # The disks of cell c sit at positions starts[c]:ends[c] of order.
-    starts = np.flatnonzero(np.diff(key, prepend=key[0] - 1))
-    cells = key[starts]
-    ends = np.append(starts[1:], n)
-    cell = np.repeat(np.arange(len(cells)), ends - starts)
-    position = np.arange(n)
-    # Each position is paired with a range of positions: the later members of
-    # its own cell, and the members of the cells above, right-below, right and
-    # right-above.
-    lefts, firsts, lasts = [position], [position + 1], [ends[cell]]
-    for offset in (1, stride - 1, stride, stride + 1):
-        near = cells + offset
-        q = np.minimum(np.searchsorted(cells, near), len(cells) - 1)
-        hit = (cells[q] == near)[cell]
-        q = q[cell[hit]]
-        lefts.append(position[hit])
-        firsts.append(starts[q])
-        lasts.append(ends[q])
-    left, first = np.concatenate(lefts), np.concatenate(firsts)
-    size = np.concatenate(lasts) - first
+    # Range k pairs position k % n with a range of positions of the sorted
+    # keys: the later members of its own cell, then the members of the cells
+    # above, right-below, right and right-above.  An empty cell is an empty
+    # range.
+    near = key + np.array([[0], [1], [stride - 1], [stride], [stride + 1]])
+    first = np.searchsorted(key, near)
+    first[0] = np.arange(1, n + 1)
+    first = first.ravel()
+    size = np.searchsorted(key, near, side="right").ravel() - first
     bounds = np.cumsum(size)
     # Pair number t lies in the range k with bounds[k - 1] <= t < bounds[k].
     offset = first - (bounds - size)
@@ -168,7 +157,7 @@ def _candidates(x: np.ndarray, y: np.ndarray, r: np.ndarray, tol: float) -> tupl
     for t0 in range(0, int(bounds[-1]), _CHUNK):
         t = np.arange(t0, min(t0 + _CHUNK, int(bounds[-1])))
         k = np.searchsorted(bounds, t, side="right")
-        a, b = _box_test(x, y, r, order[left[k]], order[t + offset[k]], tol)
+        a, b = _box_test(x, y, r, order[k % n], order[t + offset[k]], tol)
         found_i.append(np.minimum(a, b))
         found_j.append(np.maximum(a, b))
     i, j = np.concatenate(found_i), np.concatenate(found_j)
@@ -193,8 +182,9 @@ def _classify(
 
     Each equals what geometry._relate gives the pair, bit for bit.
     math.hypot and math.acos are mapped over lists, since np.hypot and
-    np.arccos round some inputs differently; every other step is the same
-    IEEE operation, in the same order, as in _relate and _cos_overlap.
+    np.arccos round some inputs differently, and so is _cos_overlap on the
+    pairs it scales; every other step is the same IEEE operation, in the
+    same order, as in _relate and _cos_overlap.
     """
     d = np.fromiter(map(math.hypot, (x[i] - x[j]).tolist(), (y[i] - y[j]).tolist()), float, len(i))
     ra, rb = r[i], r[j]
@@ -206,13 +196,11 @@ def _classify(
     kind[d <= np.abs(ra - rb) + tol] = _CONTAINED
     over = kind == _OVERLAPPING
     d_o, ra, rb = d[over], ra[over], rb[over]
-    # Pairs with a radius out of range run scaled, as in geometry._cos_overlap.
-    if len(r) and not _LO <= r.min() <= r.max() <= _HI:
-        out = (np.minimum(ra, rb) < _LO) | (np.maximum(ra, rb) > _HI)
-        e = np.clip(-((np.frexp(ra)[1] + np.frexp(rb)[1]) >> 1), -1022, 1023)
-        s = np.where(out, np.ldexp(1.0, e), 1.0)
-        d_o, ra, rb = d_o * s, ra * s, rb * s
     u = (d_o * d_o - ra * ra - rb * rb) / (2.0 * ra * rb)
+    # Pairs with a radius out of range take _cos_overlap's scaling.
+    if len(r) and not _LO <= r.min() <= r.max() <= _HI:
+        out = np.flatnonzero((np.minimum(ra, rb) < _LO) | (np.maximum(ra, rb) > _HI))
+        u[out] = list(map(_cos_overlap, ra[out].tolist(), rb[out].tolist(), d_o[out].tolist()))
     # max(-1.0, min(1.0, u)), NaN included: min keeps 1.0 unless u < 1.0,
     # and max keeps -1.0 unless u > -1.0.
     u = np.where(u < 1.0, u, 1.0)
@@ -447,8 +435,11 @@ def are_similar(
     """Fit a similarity sending a onto b along the given id bijection.
 
     Returns the transform when every mapped center and radius lands within
-    tol, else None.  Both reflections are tried.
+    tol, else None.  Both reflections are tried.  A negative or NaN tol
+    raises InvalidInputError.
     """
+    if not tol >= 0:
+        raise InvalidInputError(f"tol must be >= 0, got {tol!r}")
     if sorted(correspondence) != sorted(a.ids) or sorted(correspondence.values()) != sorted(b.ids):
         raise InvalidInputError("correspondence must be a bijection between the two id sets")
     src = [a.by_id(i) for i in sorted(a.ids)]

@@ -243,29 +243,27 @@ def outer_face_index(
     return max(candidates, key=lambda i: (len(decomp.faces[i]), -i))
 
 
-def is_triangulated(eg: EmbeddedGraph, outer_edge: Optional[tuple[str, str]] = None) -> bool:
+def is_triangulated(eg: EmbeddedGraph) -> bool:
     """True when every face except the outer one is a triangle.
 
-    The outer face comes from `outer_edge` when given, else from the declared
-    boundary.  With neither, any single face may play the outer role, so the
-    embedding passes iff at most one face is not a triangle.
+    The outer face is the one the declared boundary bounds.  Without a
+    boundary, any single face may play the outer role, so the embedding
+    passes iff at most one face is not a triangle.
     """
-    return triangulation(eg, outer_edge)[2]
+    return triangulation(eg)[2]
 
 
-def triangulation(
-    eg: EmbeddedGraph, outer_edge: Optional[tuple[str, str]] = None
-) -> tuple[FaceDecomposition, Optional[int], bool]:
+def triangulation(eg: EmbeddedGraph) -> tuple[FaceDecomposition, Optional[int], bool]:
     """is_triangulated with its one face trace kept: the faces, the outer face's
-    index (None when nothing names it) and the verdict."""
+    index (None without a boundary) and the verdict."""
     decomp = faces_from_rotation(eg)
     if not decomp.ok:
         raise InvalidInputError(
             f"rotation system is not planar (Euler characteristic {decomp.characteristic})"
         )
-    if outer_edge is None and not eg.boundary:
+    if not eg.boundary:
         return decomp, None, sum(1 for f in decomp.faces if len(f) != 3) <= 1
-    outer = outer_face_index(eg, decomp, outer_edge)
+    outer = outer_face_index(eg, decomp)
     return decomp, outer, all(len(f) == 3 for i, f in enumerate(decomp.faces) if i != outer)
 
 

@@ -309,8 +309,6 @@ def render_svg(
     overlay: Union[Graph, LabeledContactGraph, None] = None,
     *,
     width: float = 640.0,
-    stroke: str = "#1a1a1a",
-    fill: str = "none",
 ) -> str:
     """Draw the disks as stroked circles, optionally with the contact graph.
 
@@ -332,10 +330,11 @@ def render_svg(
         _SVG_HEAD.format(w=width, h=width * vh / vw, vx=xs_min - m, vy=ys_min - m, vw=vw, vh=vh)
     ]
     sw = 0.006 * span
+    stroke = "#1a1a1a"
     for d in ds:
         parts.append(
             f'  <circle class="disk" cx="{d.cx:.6g}" cy="{-d.cy:.6g}" r="{d.r:.6g}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{sw:.6g}"/>\n'
+            f'fill="none" stroke="{stroke}" stroke-width="{sw:.6g}"/>\n'
         )
     if overlay is not None:
         g = overlay.graph if isinstance(overlay, LabeledContactGraph) else overlay

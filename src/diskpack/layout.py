@@ -7,7 +7,8 @@ is slow but dependable at desk scale; centers are then placed by walking
 the interior faces outward from a root edge.  Both steps read what a
 LayoutProblem compiles once, when it is built: the faces from the one trace
 that checks the triangulation, and each interior vertex's fan.  Every angle
-sum comes from one kernel, _fan_angle_sum.
+sum comes from one kernel, _fan_angle_sum.  Both steps run in lengths scaled
+by a power of two, so a patch lays out the same at any scale.
 
 Labels above pi/2 leave the regime where the per-vertex angle sum is
 guaranteed monotone in the radius, so the solver warns and degrades to
@@ -17,6 +18,7 @@ best effort there.
 from __future__ import annotations
 
 import math
+import sys
 import warnings as _warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ from .errors import (
     NonConvergenceError,
     UnsupportedInputError,
 )
-from .geometry import ACOS_SLACK, Disk, edge_length
+from .geometry import ACOS_SLACK, Disk, _power_of_two, edge_length
 from .graph import EmbeddedGraph, FaceDecomposition, LabeledContactGraph, edge_key, triangulation
 
 _TWO_PI = 2.0 * math.pi
@@ -73,15 +75,12 @@ class LayoutProblem:
             raise InvalidInputError("layout needs a triangulated embedding")
         if set(self.boundary_radii) != set(self.embedding.boundary):
             raise InvalidInputError("boundary_radii must cover exactly the boundary vertices")
-        for v, r in self.boundary_radii.items():
-            if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
-                raise InvalidInputError(f"boundary radius at {v!r} must be positive, got {r!r}")
+        radii = {v: _positive(r, f"boundary radius at {v!r}") for v, r in self.boundary_radii.items()}
         object.__setattr__(self, "labels", LabeledContactGraph(self.embedding.graph, self.labels).labels)
-        object.__setattr__(self, "boundary_radii", dict(self.boundary_radii))
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise InvalidInputError(f"tol must be positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise InvalidInputError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        object.__setattr__(self, "boundary_radii", radii)
+        _positive(self.tol, "tol")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) or self.max_iter < 1:
+            raise InvalidInputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         fans = {}
         for v in sorted(set(self.embedding.graph.vertices) - self.embedding.boundary):
             rot = self.embedding.rotation[v]
@@ -104,11 +103,35 @@ class RadiiSolution:
     warnings: tuple[str, ...] = ()
 
 
+def _positive(x, what: str) -> float:
+    """x as a float, or InvalidInputError naming `what` when x is not a
+    positive, finite number.  As in the document readers, a bool is not a
+    number."""
+    if isinstance(x, bool) or not (isinstance(x, (int, float)) and 0 < x <= sys.float_info.max):
+        raise InvalidInputError(f"{what} must be a positive finite number, got {x!r}")
+    return float(x)
+
+
 def _check_radii(radii: Mapping[str, float], vertices: Iterable[str]) -> None:
     for v in vertices:
-        r = radii.get(v)
-        if r is None or not (math.isfinite(r) and r > 0):
-            raise InvalidInputError(f"radius at {v!r} must be given, positive and finite, got {r!r}")
+        _positive(radii.get(v), f"radius at {v!r}")
+
+
+def _unit(problem: LayoutProblem) -> float:
+    # The power of two that brings the largest boundary radius into [0.5, 1).
+    # The solve and the placement run in lengths scaled by it, which is exact,
+    # and angles do not change under scaling; so a patch of radius 1e-170 or
+    # 1e170 is laid out as at radius 1, and other patches as before.
+    return _power_of_two(-math.frexp(max(problem.boundary_radii.values()))[1])
+
+
+def _check_fan(v: str, rot: tuple[str, ...], total: float, flat: Optional[int]) -> None:
+    # Raise on a fan whose angle sum is NaN, because a side under- or
+    # overflows, or whose face number flat, in rotation order, is flat.
+    if math.isnan(total):
+        raise DegenerateTriangleError(f"a side of a face at {v!r} under- or overflows at these radii")
+    if flat is not None:
+        raise DegenerateTriangleError(f"face ({v}, {rot[flat]}, {rot[(flat + 1) % len(rot)]}) is degenerate at these radii")
 
 
 def angle_sum(v: str, radii: Mapping[str, float], problem: LayoutProblem) -> float:
@@ -131,10 +154,7 @@ def angle_sum(v: str, radii: Mapping[str, float], problem: LayoutProblem) -> flo
         total, flat = _fan_angle_sum(radii[v], ru, spoke_cos, opp2)
     except ZeroDivisionError:
         total, flat = math.nan, None
-    if math.isnan(total):
-        raise DegenerateTriangleError(f"a side of a face at {v!r} under- or overflows at these radii")
-    if flat is not None:
-        raise DegenerateTriangleError(f"face ({v}, {rot[flat]}, {rot[(flat + 1) % len(rot)]}) is degenerate at these radii")
+    _check_fan(v, rot, total, flat)
     return total
 
 
@@ -238,8 +258,11 @@ def solve_radii(problem: LayoutProblem, initial: Optional[Mapping[str, float]] =
     boundary radius unless `initial` overrides them.  Stops when the largest
     angle-sum residual drops to problem.tol, raising NonConvergenceError
     (with the best residual seen) once max_iter sweeps are spent.
+    DegenerateTriangleError names a face flat at the solution, or a fan whose
+    sides under- or overflow, as angle_sum does.
     """
-    radii = {v: float(r) for v, r in problem.boundary_radii.items()}
+    unit = _unit(problem)
+    radii = {v: r * unit for v, r in problem.boundary_radii.items()}
     warn_list: list[str] = []
     if any(theta > math.pi / 2 + 1e-12 for theta in problem.labels.values()):
         warn_list.append(HIGH_LABEL_WARNING)
@@ -247,34 +270,47 @@ def solve_radii(problem: LayoutProblem, initial: Optional[Mapping[str, float]] =
     interior = problem.interior_vertices
     mean_b = math.fsum(radii.values()) / len(radii)
     for v in interior:
-        r0 = mean_b if initial is None else float(initial.get(v, mean_b))
-        if not (math.isfinite(r0) and r0 > 0):
-            raise InvalidInputError(f"initial radius at {v!r} must be positive, got {r0!r}")
-        radii[v] = r0
+        if initial is None or v not in initial:
+            radii[v] = mean_b
+        else:
+            # A start that underflows in these units starts at the smallest
+            # float instead of at 0, where the bisection could not move.
+            radii[v] = max(_positive(initial[v], f"initial radius at {v!r}") * unit, math.ulp(0.0))
     if not interior:
-        return RadiiSolution(radii, 0.0, 0, tuple(warn_list))
+        return RadiiSolution(dict(problem.boundary_radii), 0.0, 0, tuple(warn_list))
 
     floor_stop = max(problem.tol / 32.0, 1e-15)
     spans = dict.fromkeys(interior, 0.5)
     best = math.inf
     residual = math.inf
-    for sweep in range(1, problem.max_iter + 1):
-        angle_stop = max(residual * 1e-2, floor_stop) if math.isfinite(residual) else 1e-4
-        for v, (rot, spoke_cos, rim_cos) in problem.fans.items():
-            ru, opp2 = _fan_radii(rot, rim_cos, radii)
-            old = radii[v]
-            new = _solve_vertex(old, ru, spoke_cos, opp2, angle_stop, spans[v])
-            radii[v] = new
-            spans[v] = max(8.0 * abs(new - old) / new, 1e-12)
-        residual = 0.0
-        for v, (rot, spoke_cos, rim_cos) in problem.fans.items():
-            ru, opp2 = _fan_radii(rot, rim_cos, radii)
-            residual = max(residual, abs(_fan_angle_sum(radii[v], ru, spoke_cos, opp2)[0] - _TWO_PI))
-        best = min(best, residual)
-        if residual <= problem.tol:
-            for v in interior:
-                angle_sum(v, radii, problem)  # raises if a face is flat at the solution
-            return RadiiSolution(dict(radii), residual, sweep, tuple(warn_list))
+    try:
+        for sweep in range(1, problem.max_iter + 1):
+            angle_stop = max(residual * 1e-2, floor_stop) if math.isfinite(residual) else 1e-4
+            for v, (rot, spoke_cos, rim_cos) in problem.fans.items():
+                ru, opp2 = _fan_radii(rot, rim_cos, radii)
+                old = radii[v]
+                new = _solve_vertex(old, ru, spoke_cos, opp2, angle_stop, spans[v])
+                radii[v] = new
+                spans[v] = max(8.0 * abs(new - old) / new, 1e-12)
+            residual = 0.0
+            first_flat = None
+            for v, (rot, spoke_cos, rim_cos) in problem.fans.items():
+                ru, opp2 = _fan_radii(rot, rim_cos, radii)
+                total, flat = _fan_angle_sum(radii[v], ru, spoke_cos, opp2)
+                if math.isnan(total):
+                    _check_fan(v, rot, total, flat)
+                residual = max(residual, abs(total - _TWO_PI))
+                if first_flat is None and flat is not None:
+                    first_flat = v, rot, total, flat
+            best = min(best, residual)
+            if residual <= problem.tol:
+                if first_flat is not None:
+                    _check_fan(*first_flat)
+                solved = {v: radii[v] / unit for v in interior}
+                return RadiiSolution({**problem.boundary_radii, **solved}, residual, sweep, tuple(warn_list))
+    except ZeroDivisionError:
+        # A side at fan v underflowed to 0; this raises.
+        _check_fan(v, rot, math.nan, None)
     raise NonConvergenceError(
         f"no convergence after {problem.max_iter} sweeps (best residual {best:.3e})",
         best,
@@ -295,7 +331,8 @@ def place_centers(problem: LayoutProblem, radii: Mapping[str, float]) -> tuple[D
     _check_radii(radii, emb.graph.vertices)
     faces, face_of = problem.faces.faces, problem.faces.face_index()
     outer = problem.outer_face
-    lengths = {k: edge_length(radii[k[0]], radii[k[1]], theta) for k, theta in problem.labels.items()}
+    unit = _unit(problem)
+    lengths = {k: edge_length(radii[k[0]] * unit, radii[k[1]] * unit, theta) for k, theta in problem.labels.items()}
     interior_edges = [de for de, f in face_of.items() if f != outer]
     # Without an interior face, as for a lone edge, only the root edge is placed.
     u0, v0 = min(interior_edges or face_of)
@@ -332,16 +369,19 @@ def place_centers(problem: LayoutProblem, radii: Mapping[str, float]) -> tuple[D
         raise UnsupportedInputError(
             "interior faces do not connect all vertices; the patch cannot be placed by a face walk"
         )
+    closure /= unit
     if closure > 100.0 * problem.tol:
         raise InconsistentLayoutError(
             f"face walk closed with residual {closure:.3e}, beyond 100*tol = {100.0 * problem.tol:.3e}"
         )
-    disks = DiskSet(tuple(Disk(v, pos[v].real, pos[v].imag, float(radii[v])) for v in emb.graph.vertices))
+    disks = DiskSet(tuple(
+        Disk(v, pos[v].real / unit, pos[v].imag / unit, float(radii[v])) for v in emb.graph.vertices
+    ))
     return disks, closure
 
 
-def pack(problem: LayoutProblem, initial: Optional[Mapping[str, float]] = None) -> DiskSet:
+def pack(problem: LayoutProblem) -> DiskSet:
     """Solve radii, then place centers: a labeled patch realized as disks."""
-    solution = solve_radii(problem, initial)
+    solution = solve_radii(problem)
     disks, _ = place_centers(problem, solution.radii)
     return disks

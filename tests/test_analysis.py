@@ -746,6 +746,57 @@ class TestPairWorkScales:
             assert peak - before < 16 * 2**20
 
 
+@st.composite
+def grid_sets(draw):
+    """Centers, radii and a tol for the cell grid: sparse sets, with empty
+    neighbour cells; sets on a coarse integer grid, with many disks in the
+    top row of keys; sets inside one cell; and centers more than the largest
+    float apart."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["sparse", "integer grid", "one cell", "far apart"]))
+    if kind == "sparse":
+        coordinate, radius = st.floats(-1e4, 1e4), st.floats(0.05, 2.0)
+    elif kind == "integer grid":
+        # Disks of one radius, so that the cells are about one or two
+        # spacings wide and the boxes of diagonal neighbours overlap.
+        spacing = draw(st.sampled_from([1.0, 2.0, 2.5]))
+        coordinate = st.integers(0, 4).map(lambda k: k * spacing)
+        radius = st.just(draw(st.sampled_from([0.5, 1.0])) * spacing)
+    elif kind == "one cell":
+        coordinate, radius = st.floats(0.0, 1.0), st.floats(2.0, 3.0)
+    else:
+        coordinate = st.one_of(st.floats(-1.7e308, 1.7e308), st.sampled_from([-1.7e308, 0.0, 1.7e308]))
+        radius = st.floats(1.0, 1e300)
+    xs, ys, rs = (draw(st.lists(strategy, min_size=n, max_size=n)) for strategy in (coordinate, coordinate, radius))
+    return xs, ys, rs, draw(st.sampled_from([0.0, 1e-9, 0.05, 3.0]))
+
+
+class TestBroadPhase:
+    """The cell grid, forced here for every set of two or more disks, finds
+    the same pairs as the box test of every pair."""
+
+    @pytest.fixture(autouse=True)
+    def broad_phase(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_DENSE_MAX", 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_sets())
+    # The last two disks sit in diagonal cells, (0, 1) and (1, 0).
+    @example(([0.0, 1.0, 2.0], [0.0, 2.0, 1.0], [0.5, 0.5, 0.5], 0.0))
+    def test_grid_finds_exactly_the_overlapping_boxes(self, case):
+        xs, ys, rs, tol = case
+        n = len(xs)
+        with np.errstate(all="ignore"):
+            i, j = analysis._candidates(np.array(xs), np.array(ys), np.array(rs), tol)
+        want = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                reach = (rs[a] + rs[b] + tol) * (1.0 + analysis._SLACK)
+                if abs(xs[a] - xs[b]) <= reach and abs(ys[a] - ys[b]) <= reach:
+                    want.append((a, b))
+        assert list(zip(i.tolist(), j.tolist())) == want
+
+
 class TestExtremeScalesInThePairStage:
     """Near 1e-170 or 1e170 the squares in the pair formulas leave the float
     range; the pair stage then scales each such pair by a power of two, as
@@ -918,6 +969,12 @@ class TestAreSimilar:
             are_similar(a, a, {"a": "a"})
         with pytest.raises(InvalidInputError):
             are_similar(a, a, {"a": "a", "b": "a"})
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_negative_or_nan_tol_rejected(self, tol):
+        a = DiskSet((Disk("a", 0, 0, 1), Disk("b", 3, 0, 1)))
+        with pytest.raises(InvalidInputError, match=f"tol must be >= 0, got {tol!r}"):
+            are_similar(a, a, {"a": "a", "b": "b"}, tol=tol)
 
 
 class TestRigidity:

@@ -88,6 +88,22 @@ class TestLayoutProblem:
         with pytest.raises(InvalidInputError):
             LayoutProblem(emb, radii, max_iter=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tol", "1e-10"), ("tol", True), ("max_iter", "3"), ("max_iter", 2.5), ("max_iter", True),
+    ])
+    def test_non_numeric_tol_and_budget_name_the_field(self, field, value):
+        emb = wheel_embedding(6)
+        with pytest.raises(InvalidInputError, match=field):
+            LayoutProblem(emb, {v: 1.0 for v in emb.boundary}, **{field: value})
+
+    @pytest.mark.parametrize("bad", ["1", True, None, pytest.param(10**400, id="10**400")])
+    def test_non_numeric_boundary_radius_names_the_vertex(self, bad):
+        emb = wheel_embedding(6)
+        radii = {v: 1.0 for v in emb.boundary}
+        radii["b2"] = bad
+        with pytest.raises(InvalidInputError, match="'b2'"):
+            LayoutProblem(emb, radii)
+
     def test_interior_vertices(self):
         assert wheel_problem(6).interior_vertices == ("hub",)
         assert triangle_problem((1.0, 1.0, 1.0)).interior_vertices == ()
@@ -148,6 +164,14 @@ class TestAngleSum:
         with pytest.raises(InvalidInputError, match="'hub'"):
             angle_sum("hub", {v: bad for v in vertices}, problem)
         radii = {v: 1.0 for v in vertices}
+        radii["b2"] = bad
+        with pytest.raises(InvalidInputError, match="'b2'"):
+            angle_sum("hub", radii, problem)
+
+    @pytest.mark.parametrize("bad", ["1", True])
+    def test_non_numeric_radius_names_the_vertex(self, bad):
+        problem = wheel_problem(6)
+        radii = {v: 1.0 for v in problem.embedding.graph.vertices}
         radii["b2"] = bad
         with pytest.raises(InvalidInputError, match="'b2'"):
             angle_sum("hub", radii, problem)
@@ -224,6 +248,37 @@ class TestSolveRadii:
     def test_bad_initial_rejected(self):
         with pytest.raises(InvalidInputError):
             solve_radii(wheel_problem(6), {"hub": -1.0})
+
+    @pytest.mark.parametrize("bad", ["abc", "2.0", True])
+    def test_non_numeric_initial_names_the_vertex(self, bad):
+        with pytest.raises(InvalidInputError, match="'hub'"):
+            solve_radii(wheel_problem(6), {"hub": bad})
+
+    def test_start_below_the_smallest_float_in_solver_units(self):
+        # The solve runs at boundary radius 0.5, where this start underflows.
+        solution = solve_radii(wheel_problem(6), {"hub": 5e-324})
+        assert solution.radii["hub"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600])
+    def test_extreme_scales_solve_exactly_as_at_scale_one(self, scale):
+        # Angle sums do not change under scaling, and scaling by a power of
+        # two is exact, so the solve is the same at every scale.
+        problems = [wheel_problem(n) for n in (3, 5, 6)] + [random_patch(random.Random(s), 14) for s in (1, 2)]
+        for problem in problems:
+            scaled = LayoutProblem(
+                problem.embedding, {v: r * scale for v, r in problem.boundary_radii.items()}, problem.labels
+            )
+            want, got = solve_radii(problem), solve_radii(scaled)
+            assert got.radii == {v: r * scale for v, r in want.radii.items()}
+            assert (got.iterations, got.residual) == (want.iterations, want.residual)
+
+    def test_mixed_scales_raise_a_typed_error(self):
+        # A boundary disk of radius 1e-170 beside disks of radius 1: a side at
+        # the hub under- or overflows as the hub shrinks toward it.
+        emb = wheel_embedding(3)
+        problem = LayoutProblem(emb, {v: 1e-170 if v == "b0" else 1.0 for v in emb.boundary})
+        with pytest.raises(DegenerateTriangleError, match="'hub'"):
+            solve_radii(problem)
 
     def test_two_starts_agree_on_random_patches(self):
         rng = random.Random(2024)
@@ -363,6 +418,24 @@ class TestPlaceCenters:
         with pytest.raises(InvalidInputError, match="'b5'"):
             place_centers(problem, radii)
 
+    @pytest.mark.parametrize("bad", ["1", True])
+    def test_non_numeric_radius_names_the_vertex(self, bad):
+        problem = wheel_problem(6)
+        radii = solve_radii(problem).radii
+        radii["b5"] = bad
+        with pytest.raises(InvalidInputError, match="'b5'"):
+            place_centers(problem, radii)
+
+    def test_tiny_wheel_places_as_at_scale_one(self):
+        # The wheel at radius 1e-170, placed at its solved radii: the sides'
+        # squares underflow unless the placement runs scaled.
+        problem = wheel_problem(6, radius=1e-170)
+        disks, closure = place_centers(problem, {v: 1e-170 for v in problem.embedding.graph.vertices})
+        hub = disks.by_id("hub").center
+        for i in range(6):
+            assert abs(disks.by_id(f"b{i}").center - hub) == pytest.approx(2e-170, rel=1e-12)
+        assert closure <= 1e-180
+
 
 class TestCompiledProblem:
     def test_one_face_trace_from_document_to_disks(self, monkeypatch):
@@ -401,6 +474,13 @@ class TestPack:
             assert lg.graph.edge_keys() == problem.embedding.graph.edge_keys()
             report = verify_realization(disks, lg, tol=1e-7)
             assert report.ok, report.defects
+
+    @pytest.mark.parametrize("labels", [None, {("hub", "b1"): math.radians(30.0)}])
+    def test_pack_at_2_to_the_minus_600_scales_exactly(self, labels):
+        scale = 2.0**-600
+        want = pack(wheel_problem(6, labels=labels))
+        got = pack(wheel_problem(6, labels=labels, radius=scale))
+        assert got.disks == tuple(Disk(d.id, d.cx * scale, d.cy * scale, d.r * scale) for d in want)
 
     def test_labeled_pack_round_trip(self):
         emb = wheel_embedding(6)
