@@ -11,6 +11,7 @@ boundary.  Valid labels live in [0, pi).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -31,6 +32,7 @@ ACOS_SLACK = 1e-12
 # a radius outside runs on its lengths scaled by a power of two, which is
 # exact, so the results for pairs inside stay as they are.
 _LO, _HI = 2.0 ** -500, 2.0 ** 500
+_MAX = sys.float_info.max
 
 
 def _power_of_two(e: int) -> float:
@@ -53,7 +55,9 @@ class Disk:
     r: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy) and math.isfinite(self.r)):
+        # Compared, not converted: float() raises OverflowError on an int
+        # beyond the largest float.
+        if not (-_MAX <= self.cx <= _MAX and -_MAX <= self.cy <= _MAX and -_MAX <= self.r <= _MAX):
             raise InvalidInputError(f"disk {self.id!r}: center and radius must be finite")
         if self.r <= 0:
             raise InvalidInputError(f"disk {self.id!r}: radius must be positive, got {self.r!r}")
@@ -228,8 +232,8 @@ def triple_intersects(a: Disk, b: Disk, c: Disk, tol: float = 1e-9) -> tuple[boo
     InvalidInputError on a negative or NaN tol).  Under that assumption a
     nonempty triple intersection always contains a point where two of the
     boundary circles meet, so testing those meeting points against the third
-    disk (inflated by tol) decides the question exactly.  is_thin, which has
-    already classified every pair, calls the unchecked core directly.
+    disk (inflated by tol) decides the question exactly.  analysis.is_thin
+    takes the same steps on every triangle of a contact graph at once.
     """
     trio = (a, b, c)
     for i in range(3):
@@ -239,26 +243,10 @@ def triple_intersects(a: Disk, b: Disk, c: Disk, tol: float = 1e-9) -> tuple[boo
                     f"disk {trio[i].id!r} and disk {trio[j].id!r} are nested; "
                     "triple intersection is only defined for configurations"
                 )
-    za, zb, zc = a.center, b.center, c.center
-    return _triple_intersects(
-        za, a.r, zb, b.r, zc, c.r,
-        _meeting_points(za, a.r, zb, b.r, tol),
-        _meeting_points(za, a.r, zc, c.r, tol),
-        _meeting_points(zb, b.r, zc, c.r, tol),
-        tol,
-    )
-
-
-def _triple_intersects(
-    za: complex, ra: float, zb: complex, rb: float, zc: complex, rc: float,
-    ab: list[complex], ac: list[complex], bc: list[complex], tol: float,
-) -> tuple[bool, Optional[complex]]:
-    """triple_intersects on centers and radii, for a triple with no nested pair.
-
-    ab, ac and bc are the meeting points of the pairs, as _meeting_points
-    gives them with the earlier disk first, so a caller that probes many
-    triangles computes each pair's points once.
-    """
+    za, ra, zb, rb, zc, rc = a.center, a.r, b.center, b.r, c.center, c.r
+    ab = _meeting_points(za, ra, zb, rb, tol)
+    ac = _meeting_points(za, ra, zc, rc, tol)
+    bc = _meeting_points(zb, rb, zc, rc, tol)
     best: Optional[complex] = None
     best_res = math.inf
     for points, z3, r3 in ((ab, zc, rc), (ac, zb, rb), (bc, za, ra)):

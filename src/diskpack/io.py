@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -30,9 +31,11 @@ _DISK_KEYS = frozenset(DISK_FIELDS)
 def _require_number(value, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(path, f"expected a number, got {value!r}")
-    x = float(value)
-    if not math.isfinite(x):
+    # Compared before converting: float() raises OverflowError on an int
+    # beyond the largest float.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
         raise ParseError(path, f"expected a finite number, got {value!r}")
+    x = float(value)
     if positive and x <= 0:
         raise ParseError(path, f"expected a positive number, got {value!r}")
     return x

@@ -257,7 +257,8 @@ def solve_radii(problem: LayoutProblem, initial: Optional[Mapping[str, float]] =
     Boundary radii are held fixed.  Interior radii start at the mean
     boundary radius unless `initial` overrides them.  Stops when the largest
     angle-sum residual drops to problem.tol, raising NonConvergenceError
-    (with the best residual seen) once max_iter sweeps are spent.
+    (with the best residual seen) once max_iter sweeps are spent, or at once
+    when a sweep changes nothing, since every later sweep would repeat it.
     DegenerateTriangleError names a face flat at the solution, or a fan whose
     sides under- or overflow, as angle_sum does.
     """
@@ -286,12 +287,18 @@ def solve_radii(problem: LayoutProblem, initial: Optional[Mapping[str, float]] =
     try:
         for sweep in range(1, problem.max_iter + 1):
             angle_stop = max(residual * 1e-2, floor_stop) if math.isfinite(residual) else 1e-4
+            # A sweep after the first that changes no radius and no span
+            # leaves the residual, and so angle_stop, as they were: every
+            # later sweep would repeat it exactly.
+            repeats = sweep > 1
             for v, (rot, spoke_cos, rim_cos) in problem.fans.items():
                 ru, opp2 = _fan_radii(rot, rim_cos, radii)
                 old = radii[v]
                 new = _solve_vertex(old, ru, spoke_cos, opp2, angle_stop, spans[v])
                 radii[v] = new
-                spans[v] = max(8.0 * abs(new - old) / new, 1e-12)
+                span = max(8.0 * abs(new - old) / new, 1e-12)
+                repeats = repeats and new == old and span == spans[v]
+                spans[v] = span
             residual = 0.0
             first_flat = None
             for v, (rot, spoke_cos, rim_cos) in problem.fans.items():
@@ -308,6 +315,12 @@ def solve_radii(problem: LayoutProblem, initial: Optional[Mapping[str, float]] =
                     _check_fan(*first_flat)
                 solved = {v: radii[v] / unit for v in interior}
                 return RadiiSolution({**problem.boundary_radii, **solved}, residual, sweep, tuple(warn_list))
+            if repeats:
+                raise NonConvergenceError(
+                    f"no convergence: sweep {sweep} left every radius unchanged (best residual {best:.3e})",
+                    best,
+                    sweep,
+                )
     except ZeroDivisionError:
         # A side at fan v underflowed to 0; this raises.
         _check_fan(v, rot, math.nan, None)

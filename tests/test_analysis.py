@@ -678,8 +678,8 @@ class TestPairWorkScales:
         relates = []
         probes = []
         meets = []
-        classify, relate, triple, meeting_points = (
-            analysis._classify, geometry._relate, analysis._triple_intersects, geometry._meeting_points
+        classify, relate, probe, boundary_points, meeting_points = (
+            analysis._classify, geometry._relate, analysis._probe, analysis._boundary_points, geometry._meeting_points
         )
 
         def counted_classify(x, y, r, i, j, tol):
@@ -690,9 +690,13 @@ class TestPairWorkScales:
             relates.append(1)
             return relate(*args)
 
-        def counted_triple(*args):
-            probes.append(1)
-            return triple(*args)
+        def counted_probe(x, y, r, px, py, trio, edges, tol):
+            probes.append(len(trio[0]))
+            return probe(x, y, r, px, py, trio, edges, tol)
+
+        def counted_boundary_points(x, y, r, i, j, d, tol):
+            meets.extend(zip(i.tolist(), j.tolist()))
+            return boundary_points(x, y, r, i, j, d, tol)
 
         def counted_meeting_points(*args):
             meets.append(args[:4])
@@ -703,7 +707,8 @@ class TestPairWorkScales:
         # kernel through geometry.
         monkeypatch.setattr(analysis, "_classify", counted_classify)
         monkeypatch.setattr(geometry, "_relate", counted_relate)
-        monkeypatch.setattr(analysis, "_triple_intersects", counted_triple)
+        monkeypatch.setattr(analysis, "_probe", counted_probe)
+        monkeypatch.setattr(analysis, "_boundary_points", counted_boundary_points)
         monkeypatch.setattr(analysis, "_meeting_points", counted_meeting_points)
         monkeypatch.setattr(geometry, "_meeting_points", counted_meeting_points)
         lg = extract_contact_graph(ds)
@@ -720,7 +725,7 @@ class TestPairWorkScales:
         assert classified == [len(analysis._candidates(x, y, r, 1e-9)[0])]
         assert classified[0] <= 4 * n
         assert relates == []
-        assert len(probes) == 2 * 54 * 54
+        assert sum(probes) == 2 * 54 * 54
         # The points where two boundaries meet are computed at most once per
         # contact pair, though each inner edge lies in two probed triangles.
         assert len(meets) <= len(lg.graph.edges)
@@ -840,6 +845,130 @@ class TestExtremeScalesInThePairStage:
         report = is_thin(ds, 0.0)
         assert not report.thin
         assert [v.ids for v in report.violations] == [("a", "b", "c")]
+
+
+def thick_lattice():
+    """576 disks on a hex lattice of spacing 1.7, radii in [0.95, 1.05], each
+    center moved by up to 0.05, under a seeded rotation and shift: most
+    lattice triangles share a point, and their coordinates are arbitrary
+    floats."""
+    rng = random.Random(8)
+    turn = complex(math.cos(0.7), math.sin(0.7))
+    disks = []
+    for i in range(24):
+        for j in range(24):
+            p = complex(1.7 * (j + 0.5 * (i % 2)), 1.7 * math.sqrt(0.75) * i)
+            p += complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+            p = turn * p + complex(-31.4, 27.2)
+            disks.append(Disk(f"t{i:02d}_{j:02d}", p.real, p.imag, rng.uniform(0.95, 1.05)))
+    return DiskSet(tuple(disks))
+
+
+def integer_grid():
+    """100 disks of radius 0.8 or 1.2 at the integer points of a square: each
+    meets up to eight others, and many meeting points tie as the deepest in a
+    third disk."""
+    rng = random.Random(3)
+    return DiskSet(tuple(
+        Disk(f"g{i}_{j}", float(i), float(j), rng.choice([0.8, 1.2])) for i in range(-5, 5) for j in range(-5, 5)
+    ))
+
+
+def three_thousand_spoke_star():
+    """A hub meeting 3,000 unit disks whose centers, 1.5 apart, lie on its rim."""
+    n = 3000
+    hub = 0.75 / math.sin(math.pi / n)
+    spokes = (
+        Disk(f"s{k:04d}", hub * math.cos(2.0 * math.pi * k / n), hub * math.sin(2.0 * math.pi * k / n), 1.0)
+        for k in range(n)
+    )
+    return DiskSet((Disk("hub", 0.0, 0.0, hub), *spokes))
+
+
+class TestThinnessArrays:
+    """is_thin probes every triangle at once in numpy, and its verdicts and
+    witnesses equal the scalar triple test's bit for bit."""
+
+    @pytest.fixture(scope="class", params=[thick_lattice, integer_grid])
+    def lattice(self, request):
+        ds = request.param()
+        return ds, reference_thin(ds, 1e-9)
+
+    @pytest.mark.parametrize("dense_max", [1, 10**9], ids=["grid", "dense"])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-600, 2.0**600], ids=["1", "2^-600", "2^600"])
+    def test_witnesses_equal_the_scalar_test(self, lattice, monkeypatch, dense_max, scale):
+        # Scaling the disks and tol by a power of two scales every step
+        # exactly, so the witnesses at 2^-600 and 2^600, where the pair
+        # formulas scale each pair, are the ones at scale 1, scaled.
+        monkeypatch.setattr(analysis, "_DENSE_MAX", dense_max)
+        ds, want = lattice
+        assert len(want.violations) > 300
+        scaled = DiskSet(tuple(Disk(d.id, d.cx * scale, d.cy * scale, d.r * scale) for d in ds))
+        got = is_thin(scaled, 1e-9 * scale)
+        assert not got.thin
+        unscaled = [(v.ids, complex(v.witness.real / scale, v.witness.imag / scale)) for v in got.violations]
+        assert same(unscaled, [(v.ids, v.witness) for v in want.violations])
+
+    def test_the_walk_takes_its_smallest_step(self):
+        # Found by a random search: here only the last step of the walk
+        # toward the centroid, t = 0.001, moves the witness.
+        trio = DiskSet((
+            Disk("a", 2.2837777280413114, -2.3075699078800627, 1.427466910712616),
+            Disk("b", 1.9838742210842222, -0.002353620175164828, 2.139595589855399),
+            Disk("c", 0.8082415415031088, -0.5271020840298766, 1.340326965374164),
+        ))
+        (violation,) = is_thin(trio, 0.0).violations
+        assert same(violation.witness, frozen_triple_intersects(*trio, 0.0)[1])
+
+    def test_hypot_is_complex_abs(self):
+        # The premise of the bit-exact witnesses: np.hypot and complex abs
+        # both call the C library's hypot.  Complex abs raises OverflowError
+        # where the result overflows; np.hypot gives inf there.
+        rng = np.random.default_rng(8)
+        n = 100_000
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, 1e308,
+                            -1e308, 1.7976931348623157e308, np.inf, -np.inf])
+        anywhere = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1074, 1025, n))
+        kinds = np.stack([
+            rng.uniform(-100.0, 100.0, n),
+            anywhere,
+            rng.uniform(0.0, 2.3e-308, n),
+            rng.uniform(1e307, 1.7976931348623157e308, n),
+            rng.choice(special, n),
+        ])
+        pick = rng.integers(0, len(kinds), (2, n))
+        signs = rng.choice([-1.0, 1.0], (2, n))
+        a, b = (kinds[pick[k], np.arange(n)] * signs[k] for k in range(2))
+
+        def complex_abs(u, v):
+            try:
+                return abs(complex(u, v))
+            except OverflowError:
+                return math.inf
+
+        want = np.array(list(map(complex_abs, a.tolist(), b.tolist())))
+        with np.errstate(over="ignore"):
+            got = np.hypot(a, b)
+        bad = [(u, v) for u, v, w, g in zip(a.tolist(), b.tolist(), want.tolist(), got.tolist()) if w != g]
+        assert not bad, (
+            f"np.hypot differs from complex abs on {len(bad)} of {n} inputs, e.g. {bad[:3]}: "
+            "is_thin's witnesses equal triple_intersects' only where the two agree"
+        )
+
+    def test_a_disk_meeting_thousands_costs_no_memory(self):
+        # The hub pairs with each later pair of its 3,000 contacts, about 4.5
+        # million pairs of edges, which are expanded in chunks.
+        ds = three_thousand_spoke_star()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = is_thin(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 16 * 2**20
+        assert len(report.violations) == 3000
+        assert report.violations[0].ids == ("hub", "s0000", "s0001")
 
 
 class TestSimilarityTransform:

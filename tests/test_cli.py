@@ -300,6 +300,12 @@ class TestFailureModes:
         r = run_cli("frobnicate")
         assert r.returncode == 2
 
+    def test_integer_beyond_the_largest_float_exits_2(self, tmp_path):
+        disks = _write(tmp_path / "huge.json", '[{"id": "a", "x": 1' + "0" * 400 + ', "y": 0.0, "r": 1.0}]')
+        r = run_cli("thin", disks)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: [0].x: expected a finite number")
+
     def test_nan_or_negative_tol_exits_2(self, tmp_path):
         disks = _write(tmp_path / "a.json", write_disks(penny_star()))
         for tol in ("nan", "-1e-9", "tiny"):

@@ -40,6 +40,11 @@ class TestDisk:
         with pytest.raises(InvalidInputError):
             Disk("a", 0.0, math.inf, 1.0)
 
+    def test_rejects_ints_beyond_the_largest_float(self):
+        for fields in ((10**400, 0.0, 1.0), (0.0, -(10**400), 1.0), (0.0, 0.0, 10**400)):
+            with pytest.raises(InvalidInputError, match="'a': center and radius must be finite"):
+                Disk("a", *fields)
+
     def test_fields_are_floats(self):
         d = Disk("a", 2**60 + 1, True, np.float64(2.5))
         assert [type(v) for v in (d.cx, d.cy, d.r)] == [float, float, float]

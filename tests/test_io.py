@@ -188,6 +188,13 @@ class TestReadGraphErrors:
         assert err.path == "boundary_radii.b0"
         assert "positive" in str(err)
 
+    def test_radius_beyond_the_largest_float(self):
+        doc = wheel_doc(4)
+        doc["boundary_radii"]["b0"] = 10**400
+        err = parse_error(doc_text(doc))
+        assert err.path == "boundary_radii.b0"
+        assert "expected a finite number" in str(err)
+
     def test_radius_must_be_a_number_not_a_bool(self):
         doc = wheel_doc(4)
         doc["boundary_radii"]["b0"] = True
@@ -284,6 +291,14 @@ class TestDiskDocuments:
 
     def test_id_must_be_a_string(self):
         assert disk_error(json.dumps([{"id": 7, "x": 0, "y": 0, "r": 1}])).path == "[0].id"
+
+    @pytest.mark.parametrize("field", ["x", "y", "r"])
+    def test_integer_beyond_the_largest_float_rejected(self, field):
+        record = {"id": "a", "x": 0.0, "y": 0.0, "r": 1.0}
+        record[field] = 10**400
+        err = disk_error(json.dumps([record]))
+        assert err.path == f"[0].{field}"
+        assert "expected a finite number" in str(err)
 
 
 class TestDocumentBuilders:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -279,6 +280,20 @@ class TestSolveRadii:
         problem = LayoutProblem(emb, {v: 1e-170 if v == "b0" else 1.0 for v in emb.boundary})
         with pytest.raises(DegenerateTriangleError, match="'hub'"):
             solve_radii(problem)
+
+    def test_a_sweep_that_changes_nothing_stops_the_solve(self):
+        # Rim radii alternate 1e-170 and 1: from the second sweep on, the hub
+        # radius no longer moves and the residual stays at pi, so the default
+        # budget of 100,000 sweeps would only repeat one sweep.
+        emb = wheel_embedding(6)
+        problem = LayoutProblem(emb, {f"b{k}": (1e-170, 1.0)[k % 2] for k in range(6)})
+        assert problem.max_iter == 100_000
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match="left every radius unchanged") as err:
+            solve_radii(problem)
+        assert time.perf_counter() - start < 0.5
+        assert err.value.iterations == 3
+        assert err.value.best_residual == pytest.approx(math.pi)
 
     def test_two_starts_agree_on_random_patches(self):
         rng = random.Random(2024)
