@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ from .errors import (
     InvalidConfigurationError,
     InvalidInputError,
 )
-from .geometry import _HI, _LO, Disk, PairKind, _cos_overlap, _meeting_points
+from .geometry import _CONTAINED, _DISJOINT, _KINDS, Disk, PairKind, _boundary_points, _classify, _coordinates, _probe
 from .graph import Graph, LabeledContactGraph
 
 
@@ -72,15 +71,6 @@ _DENSE_MAX = 128
 # costs time, not memory.
 _CHUNK = 1 << 14
 
-# The kinds as codes: _KINDS[code] is the PairKind.
-_DISJOINT, _TANGENT, _OVERLAPPING, _CONTAINED = range(4)
-_KINDS = (PairKind.DISJOINT, PairKind.TANGENT, PairKind.OVERLAPPING, PairKind.CONTAINED)
-
-
-def _coordinates(disks: Sequence[Disk]) -> tuple[list[float], list[float], list[float]]:
-    """The centers' x and y and the radii, as flat lists in disk order."""
-    return [d.cx for d in disks], [d.cy for d in disks], [d.r for d in disks]
-
 
 class _Meetings(NamedTuple):
     """The pairs (i[k], j[k]), i < j, in lexicographic order, that are not
@@ -94,16 +84,15 @@ class _Meetings(NamedTuple):
     angle: np.ndarray
 
 
-def _meetings(xs: list[float], ys: list[float], rs: list[float], tol: float) -> _Meetings:
+def _meetings(x: np.ndarray, y: np.ndarray, r: np.ndarray, tol: float) -> _Meetings:
     """The pair stage of the pair analyses: the broad phase, then one
     classification of every candidate.
 
     Differences of far-apart centers overflow to inf, as they do in Python
     floats, and numpy's warnings about it are silenced.
     """
-    if len(xs) >= 2 and not tol >= 0:
+    if len(x) >= 2 and not tol >= 0:
         raise InvalidInputError(f"tol must be >= 0, got {tol!r}")
-    x, y, r = np.array(xs, float), np.array(ys, float), np.array(rs, float)
     with np.errstate(all="ignore"):
         i, j = _candidates(x, y, r, tol)
         kind, distance, angle = _classify(x, y, r, i, j, tol)
@@ -176,51 +165,13 @@ def _box_test(
     return i[keep], j[keep]
 
 
-def _classify(
-    x: np.ndarray, y: np.ndarray, r: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kind codes, center distances and overlap angles of the pairs (i, j).
-
-    Each equals what geometry._relate gives the pair, bit for bit.
-    math.hypot and math.acos are mapped over lists, since np.hypot and
-    np.arccos round some inputs differently, and so is _cos_overlap on the
-    pairs it scales; every other step is the same IEEE operation, in the
-    same order, as in _relate and _cos_overlap.
-    """
-    d = np.fromiter(map(math.hypot, (x[i] - x[j]).tolist(), (y[i] - y[j]).tolist()), float, len(i))
-    ra, rb = r[i], r[j]
-    total = ra + rb
-    # Later codes win, as the earlier branches of _relate do.
-    kind = np.full(len(d), _OVERLAPPING, np.int8)
-    kind[d > total + tol] = _DISJOINT
-    kind[np.abs(d - total) <= tol] = _TANGENT
-    kind[d <= np.abs(ra - rb) + tol] = _CONTAINED
-    over = kind == _OVERLAPPING
-    d_o, ra, rb = d[over], ra[over], rb[over]
-    u = (d_o * d_o - ra * ra - rb * rb) / (2.0 * ra * rb)
-    # Pairs with a radius out of range take _cos_overlap's scaling.
-    if len(r) and not _LO <= r.min() <= r.max() <= _HI:
-        out = np.flatnonzero((np.minimum(ra, rb) < _LO) | (np.maximum(ra, rb) > _HI))
-        u[out] = list(map(_cos_overlap, ra[out].tolist(), rb[out].tolist(), d_o[out].tolist()))
-    # max(-1.0, min(1.0, u)), NaN included: min keeps 1.0 unless u < 1.0,
-    # and max keeps -1.0 unless u > -1.0.
-    u = np.where(u < 1.0, u, 1.0)
-    u = np.where(u > -1.0, u, -1.0)
-    angle = np.zeros(len(d))
-    angle[over] = np.fromiter(map(math.acos, u.tolist()), float, len(u))
-    return kind, d, angle
-
-
-def _nested(a: Disk, b: Disk) -> InvalidConfigurationError:
-    return InvalidConfigurationError(f"disk {a.id!r} and disk {b.id!r} are nested; not a configuration")
-
-
 def _check_configuration(disks: Sequence[Disk], meetings: _Meetings) -> None:
     """Raise InvalidConfigurationError on the first nested pair."""
     nested = meetings.kind == _CONTAINED
     if nested.any():
         k = int(nested.argmax())
-        raise _nested(disks[meetings.i[k]], disks[meetings.j[k]])
+        a, b = disks[meetings.i[k]], disks[meetings.j[k]]
+        raise InvalidConfigurationError(f"disk {a.id!r} and disk {b.id!r} are nested; not a configuration")
 
 
 def extract_contact_graph(ds: DiskSet, tol: float = 1e-9) -> LabeledContactGraph:
@@ -332,70 +283,25 @@ def is_thin(ds: DiskSet, tol: float = 1e-9) -> ThinnessReport:
     triangles of the contact graph are probed, all at once in numpy.  Each
     pair is classified once: a nested pair raises InvalidConfigurationError
     before any triple is probed.  The points where two boundaries meet are
-    computed once per contact pair; each triangle's deepest such point in the
-    third disk decides it, and a witness walks from there toward the
-    centroid.  Violations come in the order of the triangles (i, j, k),
-    i < j < k in ds.  On CPython 3.10 to 3.13 the verdicts and witnesses
-    equal triple_intersects' bit for bit.
+    computed once per contact pair.  Violations come in the order of the
+    triangles (i, j, k), i < j < k in ds.  The kernels are triple_intersects',
+    one code path, so each verdict and witness is its answer bit for bit.
     """
     disks = ds.disks
     ids = ds.ids
-    xs, ys, rs = _coordinates(disks)
-    meetings = _meetings(xs, ys, rs, tol)
+    x, y, r = _coordinates(disks)
+    meetings = _meetings(x, y, r, tol)
     _check_configuration(disks, meetings)
-    x, y, r = np.array(xs, float), np.array(ys, float), np.array(rs, float)
     i, j = meetings.i, meetings.j
     violations = []
     with np.errstate(all="ignore"):
-        px, py = _boundary_points(x, y, r, i, j, meetings.distance, tol)
+        px, py, _ = _boundary_points(x, y, r, i, j, meetings.distance, tol)
         for ij, ik, jk in _triangles(i, j, len(disks)):
             a, b, c = i[ij], j[ij], j[ik]
             hit, wx, wy = _probe(x, y, r, px, py, (a, b, c), (ij, ik, jk), tol)
             trios = zip(*(map(ids.__getitem__, v[hit].tolist()) for v in (a, b, c)))
             violations += map(ThinnessViolation, trios, map(complex, wx.tolist(), wy.tolist()))
     return ThinnessReport(not violations, tuple(violations))
-
-
-def _boundary_points(
-    x: np.ndarray, y: np.ndarray, r: np.ndarray, i: np.ndarray, j: np.ndarray, d: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The points where the boundaries of disks i[k] and j[k], d[k] apart,
-    meet: arrays px and py of shape (2, len(i)), NaN where a pair has fewer
-    than two points.
-
-    Each point equals what geometry._meeting_points gives the pair, bit for
-    bit.  CPython 3.10 to 3.13 promotes the float operand of complex / float
-    and float * complex to complex(f, 0.0) and runs _Py_c_quot or _Py_c_prod,
-    so those steps are written out as their real operations, the products
-    with 0.0 included: they can flip the sign of a zero.  This mirrors those
-    versions only; 3.14 changed mixed real and complex arithmetic.  Pairs
-    with a radius outside [_LO, _HI] are mapped through _meeting_points,
-    which holds the scaling rule.
-    """
-    ra, rb = r[i], r[j]
-    dx, dy = x[j] - x[i], y[j] - y[i]
-    ex, ey = (dx + dy * 0.0) / d, (dy - dx * 0.0) / d
-    s = (d * d + ra * ra - rb * rb) / (2.0 * d)
-    h2 = ra * ra - s * s
-    h = np.sqrt(np.where(h2 > 0.0, h2, 0.0))
-    bx, by = x[i] + (s * ex - 0.0 * ey), y[i] + (s * ey + 0.0 * ex)
-    ox, oy = -ey * h - ex * 0.0, -ey * 0.0 + ex * h
-    # A pair whose h is 0.0 meets at the one point (bx, by).
-    one = h == 0.0
-    px = np.stack([np.where(one, bx, bx + ox), np.where(one, np.nan, bx - ox)])
-    py = np.stack([np.where(one, by, by + oy), np.where(one, np.nan, by - oy)])
-    none = (d == 0.0) | (d > ra + rb + tol) | (d < np.abs(ra - rb) - tol)
-    px[:, none] = py[:, none] = np.nan
-    if len(r) and not _LO <= r.min() <= r.max() <= _HI:
-        out = np.flatnonzero((np.minimum(ra, rb) < _LO) | (np.maximum(ra, rb) > _HI))
-        za = map(complex, x[i[out]].tolist(), y[i[out]].tolist())
-        zb = map(complex, x[j[out]].tolist(), y[j[out]].tolist())
-        px[:, out] = py[:, out] = np.nan
-        found = map(_meeting_points, za, ra[out].tolist(), zb, rb[out].tolist(), repeat(tol))
-        for k, points in zip(out.tolist(), found):
-            for slot, p in enumerate(points):
-                px[slot, k], py[slot, k] = p.real, p.imag
-    return px, py
 
 
 def _triangles(i: np.ndarray, j: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -421,60 +327,6 @@ def _triangles(i: np.ndarray, j: np.ndarray, n: int) -> Iterator[tuple[np.ndarra
         jk = np.minimum(np.searchsorted(key, want), m - 1)
         keep = key[jk] == want
         yield ij[keep], ik[keep], jk[keep]
-
-
-def _probe(
-    x: np.ndarray, y: np.ndarray, r: np.ndarray, px: np.ndarray, py: np.ndarray,
-    trio: tuple[np.ndarray, np.ndarray, np.ndarray], edges: tuple[np.ndarray, np.ndarray, np.ndarray], tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Which of the triangles trio = (a, b, c), with edge numbers edges =
-    (ab, ac, bc) into the boundary points px and py, share a point: a mask,
-    and the x and y of a witness for each triangle that does.
-
-    The same steps as triple_intersects, on every triangle at once.  Python's
-    strict < and max(p, q, s) become chained np.where, so a NaN wins only
-    where it would win there; complex abs is np.hypot, as both call the C
-    library's hypot.
-    """
-    a, b, c = trio
-    ab, ac, bc = edges
-    # The first of the six meeting points deepest in the third disk.
-    best = np.full(len(a), np.inf)
-    bx, by = np.zeros(len(a)), np.zeros(len(a))
-    for edge, third in ((ab, c), (ac, b), (bc, a)):
-        x3, y3, r3 = x[third], y[third], r[third]
-        for slot in (0, 1):
-            qx, qy = px[slot, edge], py[slot, edge]
-            res = np.hypot(qx - x3, qy - y3) - r3
-            deeper = res < best
-            best = np.where(deeper, res, best)
-            bx, by = np.where(deeper, qx, bx), np.where(deeper, qy, by)
-    hit = (best < np.inf) & ~(best > tol)
-    bx, by = bx[hit], by[hit]
-    corners = [(x[v], y[v], r[v]) for v in (a[hit], b[hit], c[hit])]
-
-    def residuals(qx, qy):
-        return [np.hypot(qx - cx, qy - cy) - cr for cx, cy, cr in corners]
-
-    def first_max(p, q, s):
-        m = np.where(q > p, q, p)
-        return np.where(s > m, s, m)
-
-    # Walk toward the centroid, complex / 3.0 and t * complex written out as
-    # in _boundary_points; a point replaces the witness when each of its three
-    # residuals is below the witness's largest.
-    (xa, ya, _), (xb, yb, _), (xc, yc, _) = corners
-    sx, sy = xa + xb + xc, ya + yb + yc
-    gx, gy = (sx + sy * 0.0) / 3.0, (sy - sx * 0.0) / 3.0
-    wx, wy, w = bx, by, first_max(*residuals(bx, by))
-    for t in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001):
-        qx = bx + (t * (gx - bx) - 0.0 * (gy - by))
-        qy = by + (t * (gy - by) + 0.0 * (gx - bx))
-        res = residuals(qx, qy)
-        deeper = (res[0] < w) & (res[1] < w) & (res[2] < w)
-        w = np.where(deeper, first_max(*res), w)
-        wx, wy = np.where(deeper, qx, wx), np.where(deeper, qy, wy)
-    return hit, wx, wy
 
 
 @dataclass(frozen=True)

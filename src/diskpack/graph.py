@@ -290,7 +290,8 @@ class LabeledContactGraph:
                 k = edge_key(u, v)
                 if k not in keys:
                     raise InvalidInputError(f"label on {k!r}, which is not an edge")
-                if not (math.isfinite(theta) and 0.0 <= theta < math.pi):
+                # Compared, not converted: exact on a huge int, false on NaN.
+                if not 0.0 <= theta < math.pi:
                     raise InvalidInputError(f"label on {k!r} must lie in [0, pi), got {theta!r}")
                 normalized[k] = float(theta)
         if len(normalized) < len(keys):

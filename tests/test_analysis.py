@@ -46,7 +46,7 @@ from diskpack import (
     triple_intersects,
     verify_realization,
 )
-from diskpack import analysis, geometry
+from diskpack import analysis
 from diskpack.analysis import Defect, RealizationReport, ThinnessReport, ThinnessViolation
 
 
@@ -675,20 +675,13 @@ class TestPairWorkScales:
         ds = hex_lattice(55, 55)
         n = len(ds)
         classified = []
-        relates = []
         probes = []
         meets = []
-        classify, relate, probe, boundary_points, meeting_points = (
-            analysis._classify, geometry._relate, analysis._probe, analysis._boundary_points, geometry._meeting_points
-        )
+        classify, probe, boundary_points = analysis._classify, analysis._probe, analysis._boundary_points
 
         def counted_classify(x, y, r, i, j, tol):
             classified.append(len(i))
             return classify(x, y, r, i, j, tol)
-
-        def counted_relate(*args):
-            relates.append(1)
-            return relate(*args)
 
         def counted_probe(x, y, r, px, py, trio, edges, tol):
             probes.append(len(trio[0]))
@@ -698,19 +691,9 @@ class TestPairWorkScales:
             meets.extend(zip(i.tolist(), j.tolist()))
             return boundary_points(x, y, r, i, j, d, tol)
 
-        def counted_meeting_points(*args):
-            meets.append(args[:4])
-            return meeting_points(*args)
-
-        # The analyses classify pairs in the pair stage only; a scalar
-        # classification, in the triple test or elsewhere, would reach the
-        # kernel through geometry.
         monkeypatch.setattr(analysis, "_classify", counted_classify)
-        monkeypatch.setattr(geometry, "_relate", counted_relate)
         monkeypatch.setattr(analysis, "_probe", counted_probe)
         monkeypatch.setattr(analysis, "_boundary_points", counted_boundary_points)
-        monkeypatch.setattr(analysis, "_meeting_points", counted_meeting_points)
-        monkeypatch.setattr(geometry, "_meeting_points", counted_meeting_points)
         lg = extract_contact_graph(ds)
         assert len(lg.graph.edges) == 3 * 55 * 55 - 4 * 55 + 1
         assert len(classified) == 1 and classified[0] <= 4 * n
@@ -724,7 +707,6 @@ class TestPairWorkScales:
         x, y, r = (np.array(c) for c in analysis._coordinates(ds.disks))
         assert classified == [len(analysis._candidates(x, y, r, 1e-9)[0])]
         assert classified[0] <= 4 * n
-        assert relates == []
         assert sum(probes) == 2 * 54 * 54
         # The points where two boundaries meet are computed at most once per
         # contact pair, though each inner edge lies in two probed triangles.
@@ -969,6 +951,65 @@ class TestThinnessArrays:
         assert peak - before < 16 * 2**20
         assert len(report.violations) == 3000
         assert report.violations[0].ids == ("hub", "s0000", "s0001")
+
+
+class TestAtTheEdgeOfTheFloats:
+    """The pair and triple calls where lengths overflow or the power-of-two
+    rule switches on."""
+
+    @pytest.mark.parametrize("b, want", [
+        (Disk("b", 0.0, 1e200, 1.0), "[(nan+infj)]"),
+        (Disk("b", 1e200, 0.0, 1.0), "[(inf+nanj)]"),
+    ])
+    def test_huge_tol_gives_the_frozen_overflowed_point(self, b, want):
+        # d * d overflows, and the one meeting point within tol is part NaN:
+        # the count of points does not come from testing for NaN.
+        a = Disk("a", 0.0, 0.0, 1.0)
+        got = boundary_meeting_points(a, b, 1e300)
+        assert repr(got) == want
+        assert same(got, frozen_boundary_meeting_points(a, b, 1e300))
+
+    @pytest.mark.parametrize("e", [-500, 500])
+    @pytest.mark.parametrize("m", [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)], ids=["below", "at", "above"])
+    def test_radii_at_the_ends_of_the_range(self, e, m):
+        # Radii m * 2**e lie just inside or just outside [2**-500, 2**500], so
+        # one pair takes the scaled path and its neighbours do not.
+        scale = 2.0**e
+        unit = (Disk("a", 0.0, 0.0, m), Disk("b", 1.5 * m, 0.0, m))
+        for x, y in itertools.permutations(unit):
+            sx, sy = (Disk(d.id, d.cx * scale, d.cy * scale, d.r * scale) for d in (x, y))
+            want = pair_relation(x, y, 0.0)
+            assert want.kind is PairKind.OVERLAPPING
+            assert same(pair_relation(sx, sy, 0.0), PairRelation(want.kind, want.distance * scale, want.angle))
+            points = boundary_meeting_points(x, y, 0.0)
+            assert len(points) == 2
+            scaled = [complex(p.real * scale, p.imag * scale) for p in points]
+            assert same(boundary_meeting_points(sx, sy, 0.0), scaled)
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600], ids=["2^-600", "2^600"])
+    def test_scaled_trios_keep_their_verdicts_and_witnesses(self, scale):
+        rng = random.Random(13)
+        hits = 0
+        for _ in range(400):
+            trio = [Disk(k, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.6, 1.4)) for k in "abc"]
+            scaled = [Disk(d.id, d.cx * scale, d.cy * scale, d.r * scale) for d in trio]
+            got, want = outcome(triple_intersects, *scaled, 1e-9 * scale), outcome(triple_intersects, *trio, 1e-9)
+            if want[0] is InvalidConfigurationError:
+                assert got == want
+                continue
+            hit, witness = want
+            hits += hit
+            assert same(got, (hit, complex(witness.real * scale, witness.imag * scale) if hit else None))
+        assert hits > 100
+
+    def test_overflowing_residual_gives_is_thins_witness(self):
+        # Complex abs raises OverflowError on these residuals; np.hypot gives
+        # inf, and the triple test and is_thin share that code path.
+        trio = (Disk("a", -8e307, 0.0, 1e308), Disk("b", 8e307, 0.0, 1e308), Disk("c", 0.0, 1.5e308, 1e308))
+        (violation,) = is_thin(DiskSet(trio)).violations
+        got = triple_intersects(*trio)
+        assert same(got, (True, violation.witness))
+        assert repr(got) == "(True, (3.2404126901163456e+306+5.010511323193795e+307j))"
 
 
 class TestSimilarityTransform:

@@ -325,6 +325,13 @@ class TestLabeledContactGraph:
         with pytest.raises(InvalidInputError, match="must lie in"):
             LabeledContactGraph(Graph(("a", "b"), (("a", "b"),)), {("a", "b"): theta})
 
+    @pytest.mark.parametrize("theta", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+    def test_integer_beyond_the_largest_float_rejected(self, theta):
+        # Converting such an int to float raises OverflowError; the label is
+        # compared instead, and the error names the edge.
+        with pytest.raises(InvalidInputError, match=r"label on \('a', 'b'\) must lie in"):
+            LabeledContactGraph(Graph(("a", "b"), (("b", "a"),)), {("b", "a"): theta})
+
 
 class TestRotationFromPositions:
     def test_recovers_wheel_rotation(self):
